@@ -14,6 +14,8 @@
 //!   substituting the original kernel-trace-driven fault model.
 //! * [`node`] — the [`Workstation`] with lazy piecewise
 //!   advancement.
+//! * [`node_set`] — [`NodeSet`], the dense node-id bitset behind the
+//!   engine's sweep sets.
 //! * [`network`] — remote submission and `r + D/B` migration costs.
 //! * [`netram`] — the network-RAM extension (§2.3 / ref \[12]): faults
 //!   served from remote idle memory.
@@ -56,6 +58,7 @@ pub mod memory;
 pub mod netram;
 pub mod network;
 pub mod node;
+pub mod node_set;
 pub mod params;
 pub mod protection;
 pub mod units;
@@ -67,6 +70,7 @@ pub use memory::{FaultModel, MemoryParams};
 pub use netram::NetworkRamParams;
 pub use network::NetworkParams;
 pub use node::{NodeId, NodeParams, Workstation};
+pub use node_set::NodeSet;
 pub use params::ClusterParams;
 pub use protection::ThrashingProtection;
 pub use units::Bytes;

@@ -41,11 +41,12 @@
 //!   qualifies, the blocking problem is detected and (under
 //!   V-Reconfiguration) the reconfiguration routine runs.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use vr_cluster::job::{JobId, JobSpec, JobState, RunningJob};
 use vr_cluster::loadinfo::LoadIndex;
 use vr_cluster::node::{NodeId, Workstation};
+use vr_cluster::node_set::NodeSet;
 use vr_cluster::units::Bytes;
 use vr_faults::FaultInjector;
 use vr_metrics::sampler::ClusterGauges;
@@ -305,28 +306,34 @@ pub(crate) struct ClusterWorld {
     /// `blocking_detections` counts blocking episodes (state changes), not
     /// scan ticks.
     blocked_nodes: Vec<bool>,
-    /// Node ids whose `blocked_nodes` bit is up, mirrored as an ordered set
-    /// so the overload scan can revisit flagged nodes without walking the
+    /// Node ids whose `blocked_nodes` bit is up, mirrored as a sweep set so
+    /// the overload scan can revisit flagged nodes without walking the
     /// whole slab.
-    blocked_set: BTreeSet<u32>,
+    blocked_set: NodeSet,
     /// Nodes that currently host work (resident jobs or an undrained
     /// completion outbox). Everything outside this set is settled: its load
     /// cannot change until the scheduler touches it again (advancing an
     /// idle workstation is a no-op), so the periodic
     /// advance/collect/refresh sweeps walk this set instead of every
     /// workstation — the O(active) hot path that makes cluster size a free
-    /// parameter. Lazily pruned after each index refresh.
-    active: BTreeSet<u32>,
-    /// Nodes whose completion outbox is non-empty: the only workstations
-    /// [`ClusterWorld::collect_completions`] must visit. Without this
-    /// mirror every wake-up scans the whole active set — O(active) per
-    /// event, which at 60 % utilization is O(cluster) and dominates the
-    /// wall clock beyond ~1k nodes.
-    ripe: BTreeSet<u32>,
-    /// Nodes whose observable state changed without hosting work (flag
-    /// flips: reserved, up, stale entries awaiting recapture). Drained into
-    /// the next index refresh.
-    dirty: BTreeSet<u32>,
+    /// parameter. May hold nodes that have since settled: they are pruned
+    /// when an index refresh recaptures them.
+    active: NodeSet,
+    /// Nodes whose completion outbox may be non-empty: the only
+    /// workstations [`ClusterWorld::collect_completions`] must visit.
+    /// Without this mirror every wake-up scans the whole active set —
+    /// O(active) per event, which at 60 % utilization is O(cluster) and
+    /// dominates the wall clock beyond ~1k nodes.
+    ripe: NodeSet,
+    /// Always-empty buffer that [`ClusterWorld::collect_completions`] swaps
+    /// with `ripe`, so draining the ripe set allocates nothing.
+    ripe_spare: NodeSet,
+    /// Nodes whose observable load may differ from their load-index entry:
+    /// mutated through [`ClusterWorld::touch`], or advanced in simulated
+    /// time, since they were last recaptured — plus held-back (stale)
+    /// nodes awaiting their next report. Drained by the next index
+    /// refresh.
+    dirty: NodeSet,
     /// Exchange ticks so far, driving the staggered stale-load schedule
     /// ([`LoadInfoMode::Staggered`]).
     exchange_ticks: u64,
@@ -393,10 +400,11 @@ impl ClusterWorld {
                 .map(|plan| FaultInjector::new(plan, config.seed)),
             stalled: vec![false; node_count],
             blocked_nodes: vec![false; node_count],
-            blocked_set: BTreeSet::new(),
-            active: BTreeSet::new(),
-            ripe: BTreeSet::new(),
-            dirty: BTreeSet::new(),
+            blocked_set: NodeSet::with_capacity(node_count),
+            active: NodeSet::with_capacity(node_count),
+            ripe: NodeSet::with_capacity(node_count),
+            ripe_spare: NodeSet::with_capacity(node_count),
+            dirty: NodeSet::with_capacity(node_count),
             exchange_ticks: 0,
         };
         world.index.refresh(world.nodes.iter(), SimTime::ZERO);
@@ -481,7 +489,7 @@ impl ClusterWorld {
         if blocked {
             self.blocked_set.insert(i as u32);
         } else {
-            self.blocked_set.remove(&(i as u32));
+            self.blocked_set.remove(i as u32);
         }
     }
 
@@ -489,14 +497,23 @@ impl ClusterWorld {
     /// advance: with no resident jobs there is nothing to integrate, so
     /// their counters and demand are unchanged by construction.
     fn advance_active(&mut self, now: SimTime) {
-        for &i in &self.active {
-            self.nodes[i as usize].advance_to(now);
-            if !self.nodes[i as usize].pending_completions().is_empty() {
+        for i in &self.active {
+            let node = &mut self.nodes[i as usize];
+            // Already advanced to `now` (the Exchange and Sample ticks share
+            // an instant): `advance_to` would be a no-op, so the node's load
+            // is what it was when last advanced or touched — both of which
+            // queued it for recapture and, with completions, for collection.
+            // Re-dirtying it would only make the next refresh recapture an
+            // identical entry.
+            if node.last_update() >= now {
+                continue;
+            }
+            node.advance_to(now);
+            if !node.pending_completions().is_empty() {
                 self.ripe.insert(i);
             }
             // The advance may have moved the node's load; queue it for
-            // recapture. Unchanged nodes cost one capture-and-compare at
-            // the next refresh, nothing more.
+            // recapture.
             self.dirty.insert(i);
         }
     }
@@ -518,29 +535,26 @@ impl ClusterWorld {
     /// O(cluster): the property the sweep-set cross-check below asserts in
     /// debug builds.
     fn refresh_index_incremental(&mut self, now: SimTime, is_stale: impl Fn(NodeId) -> bool) {
-        let mut targets: Vec<NodeId> = Vec::new();
-        let mut kept: Vec<u32> = Vec::new();
-        for &i in &self.dirty {
-            let id = NodeId(i);
-            if is_stale(id) {
-                kept.push(i);
-            } else {
-                targets.push(id);
-            }
-        }
-        self.index
-            .refresh_targets(&self.nodes, targets.iter().copied(), now);
-        self.dirty.clear();
+        let targets = self.dirty.iter().map(NodeId).filter(|&id| !is_stale(id));
+        self.index.refresh_targets(&self.nodes, targets, now);
         // A node can only leave the hosting-work state through an advance
         // or a mutation, both of which dirty it — so pruning the visited
         // nodes keeps the active set exact without walking it.
-        for id in targets {
-            let n = &self.nodes[id.0 as usize];
+        let mut kept: Vec<u32> = Vec::new();
+        for i in &self.dirty {
+            if is_stale(NodeId(i)) {
+                kept.push(i);
+                continue;
+            }
+            let n = &self.nodes[i as usize];
             if n.active_jobs() == 0 && n.pending_completions().is_empty() {
-                self.active.remove(&id.0);
+                self.active.remove(i);
             }
         }
-        self.dirty.extend(kept);
+        self.dirty.clear();
+        for i in kept {
+            self.dirty.insert(i);
+        }
         self.update_network_ram();
         #[cfg(debug_assertions)]
         if self.dirty.is_empty() {
@@ -562,11 +576,26 @@ impl ClusterWorld {
         );
         for (i, n) in self.nodes.iter().enumerate() {
             debug_assert!(
-                self.active.contains(&(i as u32))
+                self.active.contains(i as u32)
                     || (n.active_jobs() == 0 && n.pending_completions().is_empty()),
                 "node {i} hosts work but is not in the active set"
             );
+            debug_assert_eq!(
+                self.blocked_set.contains(i as u32),
+                self.blocked_nodes[i],
+                "blocked_set disagrees with the blocked flag of node {i}"
+            );
         }
+        // The bitsets' length counters against a recount of their words.
+        for (name, set) in [
+            ("active", &self.active),
+            ("ripe", &self.ripe),
+            ("dirty", &self.dirty),
+            ("blocked_set", &self.blocked_set),
+        ] {
+            debug_assert_eq!(set.len(), set.iter().count(), "{name} length drifted");
+        }
+        debug_assert!(self.ripe_spare.is_empty(), "ripe_spare holds ids");
     }
 
     /// Advances active nodes to `now` and refreshes the load index.
@@ -674,15 +703,18 @@ impl ClusterWorld {
     /// full-cluster sweep.
     fn collect_completions(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
         debug_assert!(
-            self.active.iter().all(|&i| self.ripe.contains(&i)
+            self.active.iter().all(|i| self.ripe.contains(i)
                 || self.nodes[i as usize].pending_completions().is_empty()),
             "active node with uncollected completions missing from the ripe set"
         );
         let mut any = false;
         // Ascending node order, same as the old scan over the whole active
-        // set — only the nodes with a non-empty outbox are visited.
-        let candidates: Vec<u32> = std::mem::take(&mut self.ripe).into_iter().collect();
-        for i in candidates {
+        // set — only the nodes with a non-empty outbox are visited. Swapping
+        // in the empty spare drains `ripe` in O(1); nodes that ripen while
+        // the loop runs land in the fresh `ripe` for the next collection.
+        std::mem::swap(&mut self.ripe, &mut self.ripe_spare);
+        let mut candidates = std::mem::take(&mut self.ripe_spare);
+        for i in &candidates {
             let i = i as usize;
             let node_id = self.nodes[i].id();
             let finished = self.nodes[i].take_completed();
@@ -705,6 +737,8 @@ impl ClusterWorld {
             }
             self.schedule_wake(node_id, now, sched);
         }
+        candidates.clear();
+        self.ripe_spare = candidates;
         if any {
             // A completing node effectively announces its freed capacity.
             self.refresh_index_incremental(now, |_| false);
@@ -923,7 +957,7 @@ impl ClusterWorld {
         // idle or lightly loaded large cluster the whole scan is O(active)
         // instead of O(nodes). Ascending node order, like the old walk.
         let mut visit: Vec<usize> = Vec::new();
-        for &i in self.active.union(&self.blocked_set) {
+        for i in self.active.union(&self.blocked_set) {
             let i = i as usize;
             if self.blocked_nodes[i] {
                 visit.push(i);
@@ -1275,7 +1309,7 @@ impl ClusterWorld {
         // set covers every such node and iterates in the same ascending
         // order as the old full walk, so the first-maximum tie-break is
         // unchanged.
-        for &i in &self.active {
+        for i in &self.active {
             let i = i as usize;
             let node = &self.nodes[i];
             if node.is_reserved() || !node.is_up() {
@@ -1698,7 +1732,7 @@ impl ClusterWorld {
             && self.suspended.is_empty()
             // Any node hosting a job is in the active sweep set, so the
             // cluster-wide drain check only needs to look there.
-            && self.active.iter().all(|&i| self.nodes[i as usize].active_jobs() == 0)
+            && self.active.iter().all(|i| self.nodes[i as usize].active_jobs() == 0)
         {
             self.done = true;
             self.finished_at = now;

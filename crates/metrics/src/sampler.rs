@@ -67,21 +67,23 @@ impl ClusterGauges {
         let mut idle = Bytes::ZERO;
         let mut physical_idle = Bytes::ZERO;
         let mut reserved = 0usize;
-        let mut active_non_reserved = Vec::new();
+        // Same push order as `balance_skew` over the collected counts, so
+        // the two agree bit for bit.
+        let mut active_non_reserved = OnlineStats::new();
         for node in nodes {
             physical_idle += node.idle_memory();
             if node.is_reserved() {
                 reserved += 1;
             } else {
                 idle += node.idle_memory();
-                active_non_reserved.push(node.active_jobs());
+                active_non_reserved.push(node.active_jobs() as f64);
             }
         }
         self.idle_memory_mb.push(now, idle.as_mb_f64());
         self.physical_idle_memory_mb
             .push(now, physical_idle.as_mb_f64());
         self.balance_skew
-            .push(now, balance_skew(&active_non_reserved));
+            .push(now, active_non_reserved.population_std_dev());
         self.reserved_nodes.push(now, reserved as f64);
         self.pending_jobs.push(now, pending_jobs as f64);
     }
@@ -168,6 +170,22 @@ mod tests {
         assert!((g.avg_balance_skew() - 1.0).abs() < 1e-12);
         assert_eq!(g.reserved_nodes.sample_average(), 1.0);
         assert_eq!(g.pending_jobs.sample_average(), 5.0);
+    }
+
+    #[test]
+    fn sampled_skew_is_bit_identical_to_balance_skew() {
+        let counts = [3, 0, 7, 1, 1, 5, 2];
+        let nodes: Vec<Workstation> = counts
+            .iter()
+            .enumerate()
+            .map(|(i, &jobs)| node(i as u32, jobs, false))
+            .collect();
+        let mut g = ClusterGauges::new();
+        g.sample(nodes.iter(), 0, SimTime::from_secs(1));
+        assert_eq!(
+            g.avg_balance_skew().to_bits(),
+            balance_skew(&counts).to_bits()
+        );
     }
 
     #[test]
