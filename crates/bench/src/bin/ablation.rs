@@ -23,7 +23,7 @@
 //!     ON/OFF workload bursts.
 //! 13. **Thrashing protection (TPF)** — the paper's ref \[6] as an
 //!     intra-node alternative/complement to reconfiguration.
-//! 14. **Plugin families** — the registry's malleable (grow/shrink width
+//! 14. **Plugin families** — the malleable (grow/shrink width
 //!     directives) and fractional (oversubscribed slot cap) schedulers
 //!     against the G-LS baseline.
 //!
@@ -606,7 +606,7 @@ fn thrashing_protection(runner: &Runner) {
     println!("{}", table.render());
 }
 
-/// The plugin-registry families: malleable width adaptation and fractional
+/// The families with knobs: malleable width adaptation and fractional
 /// oversubscription, against the G-LS baseline on the blocking scenario.
 fn plugin_families(runner: &Runner) {
     use vr_cluster::job::MalleableSpec;

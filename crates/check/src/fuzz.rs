@@ -31,7 +31,7 @@ use vr_simcore::rng::SimRng;
 use vr_simcore::time::{SimSpan, SimTime};
 use vr_workload::trace::Trace;
 use vrecon::config::SimConfig;
-use vrecon::plugin::{kind_of, registry, ParamBag};
+use vrecon::plugin::ParamBag;
 use vrecon::policy::PolicyKind;
 use vrecon::{compare_reports, Simulation};
 
@@ -278,16 +278,19 @@ impl CheckScenario {
                         ));
                     }
                 }
-                "policy" => {
-                    let name = single()?;
-                    policy = Some(parse_policy(name)?);
-                }
+                "policy" => policy = Some(PolicyKind::from_name(single()?)?),
                 "policy-params" => {
                     policy_params = ParamBag::parse(single()?)
                         .map_err(|e| format!("bad policy-params in '{line}': {e}"))?;
                 }
                 "seed" => seed = num(single()?, line)?,
-                "max-sim-time-s" => max_sim_time_s = num(single()?, line)?,
+                "max-sim-time-s" => {
+                    max_sim_time_s = num(single()?, line)?;
+                    // The horizon becomes microseconds; larger values overflow.
+                    if max_sim_time_s > u64::MAX / 1_000_000 {
+                        return Err(format!("max-sim-time-s out of range in '{line}'"));
+                    }
+                }
                 "node" => {
                     let mut user_mb = None;
                     let mut slots = None;
@@ -399,16 +402,6 @@ impl CheckScenario {
     }
 }
 
-fn parse_policy(name: &str) -> Result<PolicyKind, String> {
-    // Historical Display names first (what `render` emits), then the
-    // registry's kebab-case names so a spec can be written against either.
-    PolicyKind::ALL
-        .into_iter()
-        .find(|p| p.to_string() == name)
-        .or_else(|| kind_of(name))
-        .ok_or_else(|| format!("unknown policy '{name}'"))
-}
-
 /// Generates the scenario for fuzz iteration `iter` of run seed `seed`.
 /// Each iteration forks its own RNG stream, so scenarios are independent of
 /// worker scheduling and of each other.
@@ -433,15 +426,12 @@ pub fn generate(seed: u64, iter: u64) -> CheckScenario {
             slots: *rng.choose(&[2, 4, 8]),
         })
         .collect();
-    // Draw the policy from the plugin registry — the same table the CLI and
-    // config layer resolve names against — so a family added there is
+    // Draw the policy from `PolicyKind::ALL`, so a family added there is
     // fuzzed without touching this file.
-    let entries = registry();
-    let entry = &entries[rng.index(entries.len())];
-    let policy = entry.kind;
+    let policy = PolicyKind::ALL[rng.index(PolicyKind::ALL.len())];
     // A parameter bag for the families that have knobs, sometimes left at
     // defaults (empty) to cover both construction paths. Bags are
-    // policy-matched: every entry rejects keys it does not know.
+    // policy-matched: every family rejects keys it does not know.
     let policy_params = match policy {
         PolicyKind::Malleable if rng.uniform() < 0.6 => {
             ParamBag::new().with("max_step", 1 + rng.index(3))
@@ -920,7 +910,7 @@ mod tests {
         }
     }
 
-    /// A spec may name its policy by the registry's kebab-case key instead
+    /// A spec may name its policy by its kebab-case or short name instead
     /// of the Display name, and carries parameter bags and malleable ranges
     /// through a byte-exact round trip.
     #[test]
@@ -933,18 +923,50 @@ mod tests {
                     job submit_us=0 cpu_work_us=5000000 ws_mb=16 malleable=1:3\n";
         let scenario = CheckScenario::parse(text).unwrap();
         assert_eq!(scenario.policy, PolicyKind::Malleable);
-        assert_eq!(scenario.policy_params.get::<u32>("max_step").unwrap(), Some(2));
+        assert_eq!(
+            scenario.policy_params.get::<u32>("max_step").unwrap(),
+            Some(2)
+        );
         assert_eq!(scenario.jobs[0].malleable, Some((1, 3)));
         let rendered = scenario.render();
         assert_eq!(CheckScenario::parse(&rendered).unwrap(), scenario);
         assert_eq!(CheckScenario::parse(&rendered).unwrap().render(), rendered);
         scenario.to_sim().expect("spec must build a valid sim");
+        let short = CheckScenario::parse("policy gls\n").unwrap();
+        assert_eq!(short.policy, PolicyKind::GLoadSharing);
     }
 
-    /// The generator draws every registry family — including both new ones —
-    /// and exercises non-empty parameter bags and malleable width ranges.
     #[test]
-    fn generator_covers_the_whole_registry() {
+    fn invalid_malleable_ranges_are_rejected_before_the_engine() {
+        for (range, needle) in [
+            ("0:0", "min_width must be at least 1"),
+            ("3:1", "below min_width"),
+        ] {
+            let text = format!(
+                "policy Malleable\nnode user_mb=128 slots=4\n\
+                 job submit_us=0 cpu_work_us=1000000 ws_mb=8 malleable={range}\n"
+            );
+            let scenario = CheckScenario::parse(&text).unwrap();
+            let err = scenario.to_sim().expect_err(range);
+            assert!(err.contains(needle), "{range}: {err}");
+        }
+    }
+
+    #[test]
+    fn overflowing_horizon_is_rejected() {
+        let limit = u64::MAX / 1_000_000;
+        let ok = format!("policy G-Loadsharing\nmax-sim-time-s {limit}\n");
+        assert_eq!(CheckScenario::parse(&ok).unwrap().max_sim_time_s, limit);
+        let line = format!("max-sim-time-s {}", limit + 1);
+        let err = CheckScenario::parse(&format!("policy G-Loadsharing\n{line}\n")).unwrap_err();
+        assert!(err.contains(&line), "{err}");
+    }
+
+    /// The generator draws every policy family — including malleable and
+    /// fractional — and exercises non-empty parameter bags and malleable
+    /// width ranges.
+    #[test]
+    fn generator_covers_every_policy() {
         let mut seen = std::collections::BTreeSet::new();
         let mut bagged = 0;
         let mut annotated = 0;
@@ -958,7 +980,11 @@ mod tests {
                 annotated += 1;
             }
         }
-        assert_eq!(seen.len(), registry().len(), "families drawn: {seen:?}");
+        assert_eq!(
+            seen.len(),
+            PolicyKind::ALL.len(),
+            "families drawn: {seen:?}"
+        );
         assert!(bagged > 0, "no scenario carried a parameter bag");
         assert!(annotated > 0, "no scenario carried malleable jobs");
     }

@@ -1934,7 +1934,12 @@ mod tests {
             let engine = Simulation::new(config.clone()).run(&trace);
             let oracle = run_oracle(&config, &trace, OracleSkew::None).unwrap();
             let diff = compare_reports(&engine, &oracle, crate::fuzz::DIFF_TOLERANCE);
-            assert!(diff.is_match(), "oversub {:?}: {}", params.render(), diff.render());
+            assert!(
+                diff.is_match(),
+                "oversub {:?}: {}",
+                params.render(),
+                diff.render()
+            );
         }
     }
 }

@@ -14,7 +14,7 @@ use vr_simcore::rng::SimRng;
 use vr_simcore::time::SimTime;
 use vr_workload::trace::Trace;
 use vrecon::config::SimConfig;
-use vrecon::plugin::{kind_of, policy_name, FractionalParams, ParamBag};
+use vrecon::plugin::{FractionalParams, ParamBag};
 use vrecon::policy::PolicyKind;
 use vrecon::report_json::encode_report;
 use vrecon::{compare_reports, Simulation};
@@ -236,46 +236,50 @@ pub fn zero_fault_plan_equivalence(config: &SimConfig, trace: &Trace) -> Result<
     ))
 }
 
-/// **Property: registry-built ≡ enum-built.**
+/// **Property: name-resolved ≡ enum-built.**
 ///
-/// Resolving the config's policy through the string registry (name →
-/// kind) and round-tripping its parameter bag through `render`/`parse`
-/// must produce a run whose encoded report is *byte-identical* to the
-/// original's: the registry is an addressing layer, not a behaviour
-/// layer.
+/// Resolving the config's policy through each of its spellings in the
+/// name table ([`PolicyKind::from_name`]) and round-tripping its parameter
+/// bag through `render`/`parse` must produce a run whose encoded report
+/// is *byte-identical* to the original's: names are an addressing layer,
+/// not a behaviour layer.
 ///
 /// # Errors
 ///
-/// Returns an error if the registry loses or remaps the policy, the bag
-/// fails to round-trip, or the two encoded reports differ anywhere.
+/// Returns an error if a spelling fails to resolve back to the policy,
+/// the bag fails to round-trip, or the two encoded reports differ
+/// anywhere.
 pub fn registry_enum_equivalence(config: &SimConfig, trace: &Trace) -> Result<(), String> {
     config.validate()?;
     trace.validate()?;
-    let name = policy_name(config.policy);
-    let kind = kind_of(name).ok_or_else(|| format!("registry lost policy `{name}`"))?;
-    if kind != config.policy {
-        return Err(format!(
-            "registry maps `{name}` to {kind}, not {}",
-            config.policy
-        ));
+    let policy = config.policy;
+    for name in [
+        policy.to_string().as_str(),
+        policy.token(),
+        policy.kebab_name(),
+    ] {
+        let kind = PolicyKind::from_name(name)?;
+        if kind != policy {
+            return Err(format!("name table maps `{name}` to {kind}, not {policy}"));
+        }
     }
     let bag = ParamBag::parse(&config.policy_params.render())
         .map_err(|e| format!("parameter bag failed to round-trip: {e}"))?;
     if bag != config.policy_params {
         return Err("parameter bag changed under render/parse".to_owned());
     }
-    let mut registry_config = config.clone();
-    registry_config.policy = kind;
-    registry_config.policy_params = bag;
+    let mut resolved = config.clone();
+    resolved.policy = PolicyKind::from_name(policy.kebab_name())?;
+    resolved.policy_params = bag;
 
     let base = Simulation::new(config.clone()).run(trace);
-    let rebuilt = Simulation::new(registry_config).run(trace);
+    let rebuilt = Simulation::new(resolved).run(trace);
     if encode_report(&base) == encode_report(&rebuilt) {
         Ok(())
     } else {
         let diff = compare_reports(&base, &rebuilt, 0.0);
         Err(format!(
-            "registry-built run diverged from enum-built:\n{}",
+            "name-resolved run diverged from enum-built:\n{}",
             diff.render()
         ))
     }
@@ -515,7 +519,7 @@ mod tests {
         }
     }
 
-    /// Per-policy parameter bags with non-default values, so the registry
+    /// Per-policy parameter bags with non-default values, so the name-table
     /// equivalence run exercises the parse/render path with real content.
     fn bag_for(policy: PolicyKind) -> ParamBag {
         match policy {
@@ -628,15 +632,11 @@ mod tests {
     }
 
     #[test]
-    fn every_registry_entry_rejects_unknown_keys() {
-        for entry in vrecon::plugin::registry() {
+    fn every_policy_rejects_unknown_keys() {
+        for kind in PolicyKind::ALL {
             let bag = ParamBag::new().with("definitely_not_a_knob", 1);
-            let err = vrecon::plugin::build_named(entry.name, &bag);
-            assert!(
-                err.is_err(),
-                "{} accepted an unknown parameter key",
-                entry.name
-            );
+            let err = vrecon::plugin::build_policy(kind, &bag);
+            assert!(err.is_err(), "{kind} accepted an unknown parameter key");
         }
     }
 

@@ -20,7 +20,7 @@ use vr_workload::trace::{
 use vr_workload::{read_trace, write_trace};
 use vrecon::config::{LoadInfoMode, PlacementMode, SimConfig};
 use vrecon::encode_report;
-use vrecon::plugin::{build_policy, kind_of, registry, ParamBag};
+use vrecon::plugin::{build_policy, ParamBag};
 use vrecon::policy::PolicyKind;
 use vrecon::report::RunReport;
 use vrecon::sim::Simulation;
@@ -57,8 +57,9 @@ USAGE:
                  [--check BASELINE] [--tolerance T]
   vrecon spec    [--seed N] [--iter N] [--out FILE]
 
-POLICIES: none | random | cpu | weighted | gls | suspend | vrecon, or any
-registry name — malleable and fractional take knobs via `name:k=v,...`
+POLICIES: none | random | cpu | weighted | gls | suspend | vrecon | malleable
+| fractional, or the kebab-case (g-loadsharing) or paper (G-Loadsharing)
+name — malleable and fractional take knobs via `name:k=v,...`
 (e.g. `--policy malleable:max_step=2`, `--policy fractional:oversub=1.5`)
 
 `sweep` runs its whole matrix on the parallel experiment runner: `--jobs N`
@@ -150,9 +151,10 @@ fn parse_level(raw: &str) -> Result<TraceLevel, ArgError> {
     }
 }
 
-/// Parses `--policy name[:k=v,...]`: a historical short name or any
-/// registry name, optionally followed by a parameter bag for the families
-/// that take knobs (e.g. `malleable:max_step=2`, `fractional:oversub=1.5`).
+/// Parses `--policy name[:k=v,...]`: any spelling in the policy name
+/// table (`gls`, `g-loadsharing`, `G-Loadsharing`), optionally followed by
+/// a parameter bag for the families that take knobs (e.g.
+/// `malleable:max_step=2`, `fractional:oversub=1.5`).
 fn parse_policy(raw: &str) -> Result<(PolicyKind, ParamBag), ArgError> {
     let (name, params) = match raw.split_once(':') {
         Some((name, params)) => (
@@ -162,25 +164,7 @@ fn parse_policy(raw: &str) -> Result<(PolicyKind, ParamBag), ArgError> {
         ),
         None => (raw, ParamBag::new()),
     };
-    let kind = match name {
-        "none" => Some(PolicyKind::NoLoadSharing),
-        "random" => Some(PolicyKind::Random),
-        "cpu" => Some(PolicyKind::CpuOnly),
-        "gls" => Some(PolicyKind::GLoadSharing),
-        "weighted" => Some(PolicyKind::WeightedCpuMem),
-        "suspend" => Some(PolicyKind::SuspendLargest),
-        "vrecon" => Some(PolicyKind::VReconfiguration),
-        // Fall through to the plugin registry's own names
-        // (g-loadsharing, malleable, fractional, ...).
-        other => kind_of(other),
-    };
-    let kind = kind.ok_or_else(|| {
-        ArgError(format!(
-            "unknown policy {name}; expected none|random|cpu|weighted|gls|suspend|vrecon \
-             or a registry name ({})",
-            registry().map(|e| e.name).join("|")
-        ))
-    })?;
+    let kind = PolicyKind::from_name(name).map_err(ArgError)?;
     // Surface unknown-knob errors here, where the message can name the
     // flag, instead of from config.validate() later.
     build_policy(kind, &params).map_err(|e| ArgError(format!("--policy {raw}: {e}")))?;
@@ -610,9 +594,11 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
 /// `--max-sim-time SECS` as a span, if given.
 fn parse_max_sim_time(args: &Args) -> Result<Option<vr_simcore::time::SimSpan>, ArgError> {
     match args.opt_parse::<f64>("max-sim-time")? {
-        Some(secs) if secs > 0.0 => Ok(Some(vr_simcore::time::SimSpan::from_secs_f64(secs))),
+        Some(secs) if secs.is_finite() && secs > 0.0 => {
+            Ok(Some(vr_simcore::time::SimSpan::from_secs_f64(secs)))
+        }
         Some(secs) => Err(ArgError(format!(
-            "--max-sim-time must be positive, got {secs}"
+            "--max-sim-time must be positive and finite, got {secs}"
         ))),
         None => Ok(None),
     }
@@ -1305,12 +1291,14 @@ mod tests {
             (PolicyKind::SuspendLargest, ParamBag::new())
         );
         assert!(parse_policy("magic").is_err());
-        // Registry names work alongside the historical short names, with an
+        // Kebab and paper names work alongside the short names, with an
         // optional parameter bag after a colon.
-        assert_eq!(
-            parse_policy("g-loadsharing").unwrap(),
-            (PolicyKind::GLoadSharing, ParamBag::new())
-        );
+        for name in ["g-loadsharing", "G-Loadsharing"] {
+            assert_eq!(
+                parse_policy(name).unwrap(),
+                (PolicyKind::GLoadSharing, ParamBag::new())
+            );
+        }
         assert_eq!(
             parse_policy("malleable:max_step=2").unwrap(),
             (
@@ -1527,6 +1515,16 @@ mod tests {
         assert!(!msg.contains("WARNING"), "unexpected warning: {msg}");
         assert!(run(&args(&[path_str, "--max-sim-time", "0"])).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn max_sim_time_rejects_non_finite_values() {
+        for raw in ["inf", "-inf", "NaN"] {
+            let err = parse_max_sim_time(&args(&["--max-sim-time", raw])).unwrap_err();
+            assert!(err.0.contains("positive and finite"), "{raw}: {}", err.0);
+        }
+        let horizon = parse_max_sim_time(&args(&["--max-sim-time", "1.5"])).unwrap();
+        assert_eq!(horizon, Some(vr_simcore::time::SimSpan::from_millis(1500)));
     }
 
     #[test]

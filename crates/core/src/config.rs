@@ -79,7 +79,7 @@ pub struct SimConfig {
     pub cluster: ClusterParams,
     /// The inter-workstation scheduling policy.
     pub policy: PolicyKind,
-    /// Parameters handed to the policy's registry builder (see
+    /// Parameters handed to [`build_policy`] (see
     /// [`ParamBag`]); the empty bag means every family's defaults. An
     /// invalid bag is a [`SimConfig::validate`] error.
     #[serde(default)]
@@ -308,7 +308,7 @@ impl SimConfig {
         if self.cluster.nodes.is_empty() {
             return Err("cluster has no workstations".into());
         }
-        // Building the policy plugin validates the parameter bag (unknown
+        // Building the policy validates the parameter bag (unknown
         // keys, unparsable or out-of-range values).
         build_policy(self.policy, &self.policy_params)?;
         if self.sample_period.is_zero() {

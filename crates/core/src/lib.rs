@@ -8,9 +8,10 @@
 //! workstations to give large-memory jobs dedicated service.
 //!
 //! * [`policy`] — [`PolicyKind`]: G-Loadsharing,
-//!   V-Reconfiguration, and ablation baselines.
-//! * [`plugin`] — the [`Policy`] trait, the string-keyed policy
-//!   registry, and the [`ParamBag`] parameter grammar.
+//!   V-Reconfiguration, and ablation baselines, with their one name
+//!   table.
+//! * [`plugin`] — the validated [`Policy`] value and the [`ParamBag`]
+//!   parameter grammar.
 //! * [`sim`] — the trace-driven [`Simulation`] driver.
 //! * [`reservation`] — reserving periods, special service, adaptive
 //!   release.
@@ -61,9 +62,7 @@ pub use audit::InvariantAuditor;
 pub use compare::{compare_reports, FieldDiff, ReportDiff};
 pub use config::{DetectorMode, PendingDiscipline, ReservationOptions, ReservingEnd, SimConfig};
 pub use events::{EventLog, SchedulerEvent, SchedulerEventKind};
-pub use plugin::{
-    build_named, build_policy, policy_name, ParamBag, Policy, PolicyEntry, ResizeDirective,
-};
+pub use plugin::{build_policy, ParamBag, Policy, ResizeDirective};
 pub use policy::{Placement, PolicyKind};
 pub use report::{RunReport, SchedulerCounters};
 pub use report_json::{decode_report, encode_report};

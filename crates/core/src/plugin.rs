@@ -1,21 +1,14 @@
-//! The policy plugin layer: a [`Policy`] trait, a typed parameter bag,
-//! and a string-keyed registry.
+//! Policy construction: a typed parameter bag and the validated
+//! [`Policy`] value the engine runs.
 //!
 //! [`PolicyKind`](crate::policy::PolicyKind) names the scheduling
-//! families; this module makes each of them a *plugin*: the engine holds
-//! a `Box<dyn Policy>` and consults it for placement, capability flags,
-//! the admission slot cap, and resize directives, so adding a family
-//! means adding a registry entry — not editing the engine. The design
-//! mirrors dslab's `Scheduler`/`SchedulerParams` pair: a policy is
-//! constructed from its registry name plus a [`ParamBag`] of `key=value`
-//! strings, validated up front (unknown keys are rejected).
-//!
-//! The seven classic policies delegate placement and capabilities to
-//! their `PolicyKind`, which pins the refactor: a registry-built classic
-//! policy is byte-identical to the historical enum dispatch (locked by
-//! golden and metamorphic tests). The two parameterized families are
-//! [`PolicyKind::Malleable`] (`max_step`) and [`PolicyKind::Fractional`]
-//! (`oversub`).
+//! families and owns their placement rule, capability flags and names.
+//! [`build_policy`] pairs a kind with its [`ParamBag`] of `key=value`
+//! strings, validated up front (unknown keys are rejected), and yields a
+//! plain `Copy` [`Policy`] the engine holds by value. Only two families
+//! take knobs: [`PolicyKind::Malleable`] (`max_step`) and
+//! [`PolicyKind::Fractional`] (`oversub`); the seven classic families
+//! reject every key.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -67,7 +60,11 @@ impl ParamBag {
             if key.is_empty() {
                 return Err(format!("parameter `{part}` has an empty key"));
             }
-            if bag.entries.insert(key.to_owned(), value.to_owned()).is_some() {
+            if bag
+                .entries
+                .insert(key.to_owned(), value.to_owned())
+                .is_some()
+            {
                 return Err(format!("duplicate parameter key `{key}`"));
             }
         }
@@ -137,10 +134,7 @@ impl ParamBag {
                 return Err(if known.is_empty() {
                     format!("unknown parameter `{key}` (this policy takes no parameters)")
                 } else {
-                    format!(
-                        "unknown parameter `{key}` (accepted: {})",
-                        known.join(", ")
-                    )
+                    format!("unknown parameter `{key}` (accepted: {})", known.join(", "))
                 });
             }
         }
@@ -183,101 +177,6 @@ impl ResizeDirective {
     }
 }
 
-/// A scheduling policy plugin: placement plus the capability hooks the
-/// engine consults.
-///
-/// Implementations must be deterministic — any randomness draws from the
-/// `rng` handed to [`Policy::place`], and the resize hook sees only the
-/// node and a recomputable pressure flag, so the independent oracle can
-/// restate every decision bit-for-bit.
-pub trait Policy: fmt::Debug {
-    /// The policy family this plugin implements (reported in
-    /// [`RunReport::policy`](crate::report::RunReport::policy)).
-    fn kind(&self) -> PolicyKind;
-
-    /// Decides where a newly submitted (or pending-retried) job goes.
-    fn place(
-        &self,
-        job: &RunningJob,
-        home: NodeId,
-        index: &LoadIndex,
-        rng: &mut SimRng,
-    ) -> Placement;
-
-    /// `true` if the policy performs fault-driven preemptive migration.
-    fn migrates_on_overload(&self) -> bool {
-        self.kind().migrates_on_overload()
-    }
-
-    /// `true` if the policy runs the adaptive virtual-reconfiguration
-    /// routine on blocking.
-    fn reconfigures(&self) -> bool {
-        self.kind().reconfigures()
-    }
-
-    /// `true` if the policy suspends the most memory-intensive job on
-    /// blocking (the §1 strawman).
-    fn suspends_on_blocking(&self) -> bool {
-        self.kind().suspends_on_blocking()
-    }
-
-    /// `true` if commit-aware placement applies to this policy (the
-    /// load-index family; random/CPU-only baselines ignore it).
-    fn commit_aware_placement(&self) -> bool {
-        matches!(
-            self.kind(),
-            PolicyKind::GLoadSharing
-                | PolicyKind::VReconfiguration
-                | PolicyKind::SuspendLargest
-                | PolicyKind::Malleable
-                | PolicyKind::Fractional
-        )
-    }
-
-    /// The admission slot cap for a workstation with `hardware_slots`
-    /// job slots. The default is whole-slot reservation; the fractional
-    /// family oversubscribes.
-    fn slot_cap(&self, hardware_slots: u32) -> u32 {
-        hardware_slots
-    }
-
-    /// `true` if the policy issues [`ResizeDirective`]s at load-exchange
-    /// ticks (the malleable family).
-    fn resizes(&self) -> bool {
-        false
-    }
-
-    /// At most one width change for `node` at a load-exchange tick.
-    /// `pressure` is `true` when the cluster pending queue is non-empty —
-    /// a flag both the engine and the oracle can recompute exactly.
-    fn resize(&self, node: &Workstation, pressure: bool) -> Option<ResizeDirective> {
-        let _ = (node, pressure);
-        None
-    }
-}
-
-/// The seven pre-plugin policies: placement and capabilities delegate to
-/// [`PolicyKind`], which is what makes registry-built reports
-/// byte-identical to the historical enum dispatch.
-#[derive(Debug, Clone, Copy)]
-struct ClassicPolicy(PolicyKind);
-
-impl Policy for ClassicPolicy {
-    fn kind(&self) -> PolicyKind {
-        self.0
-    }
-
-    fn place(
-        &self,
-        job: &RunningJob,
-        home: NodeId,
-        index: &LoadIndex,
-        rng: &mut SimRng,
-    ) -> Placement {
-        self.0.place(job, home, index, rng)
-    }
-}
-
 /// Tunables of the malleable family, parsed from its [`ParamBag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MalleableParams {
@@ -304,83 +203,6 @@ impl MalleableParams {
     }
 }
 
-/// The malleable scheduling family: G-Loadsharing placement plus width
-/// resize directives.
-#[derive(Debug, Clone, Copy)]
-struct MalleablePolicy {
-    params: MalleableParams,
-}
-
-impl MalleablePolicy {
-    /// The widest resizable job on `node` that can shrink (width above
-    /// its declared minimum); ties broken toward the smallest id.
-    fn shrink_candidate<'a>(&self, node: &'a Workstation) -> Option<&'a RunningJob> {
-        node.jobs()
-            .iter()
-            .filter(|j| j.spec.malleable.is_some_and(|m| j.width > m.min_width))
-            .max_by_key(|j| (j.width, std::cmp::Reverse(j.spec.id)))
-    }
-
-    /// The narrowest resizable job on `node` that can grow (width below
-    /// its declared maximum); ties broken toward the smallest id.
-    fn grow_candidate<'a>(&self, node: &'a Workstation) -> Option<&'a RunningJob> {
-        node.jobs()
-            .iter()
-            .filter(|j| j.spec.malleable.is_some_and(|m| j.width < m.max_width))
-            .min_by_key(|j| (j.width, j.spec.id))
-    }
-}
-
-impl Policy for MalleablePolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Malleable
-    }
-
-    fn place(
-        &self,
-        job: &RunningJob,
-        home: NodeId,
-        index: &LoadIndex,
-        rng: &mut SimRng,
-    ) -> Placement {
-        PolicyKind::Malleable.place(job, home, index, rng)
-    }
-
-    fn resizes(&self) -> bool {
-        true
-    }
-
-    fn resize(&self, node: &Workstation, pressure: bool) -> Option<ResizeDirective> {
-        if !node.is_up() || node.is_reserved() {
-            return None;
-        }
-        let free = node.slot_cap().saturating_sub(node.used_slots());
-        if pressure && free == 0 {
-            // Queue pressure and no free slot: narrow the widest
-            // malleable job so a pending admission can land here.
-            let job = self.shrink_candidate(node)?;
-            let min = job.spec.malleable.map_or(1, |m| m.min_width);
-            let to = job.width.saturating_sub(self.params.max_step).max(min);
-            return Some(ResizeDirective::Shrink {
-                job: job.spec.id,
-                to,
-            });
-        }
-        if !pressure && free > 0 {
-            // Idle capacity and an empty queue: widen the narrowest
-            // malleable job into the spare slots.
-            let job = self.grow_candidate(node)?;
-            let max = job.spec.malleable.map_or(job.width, |m| m.max_width);
-            let to = (job.width + self.params.max_step.min(free)).min(max);
-            return Some(ResizeDirective::Grow {
-                job: job.spec.id,
-                to,
-            });
-        }
-        None
-    }
-}
-
 /// Tunables of the fractional family, parsed from its [`ParamBag`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FractionalParams {
@@ -402,7 +224,9 @@ impl FractionalParams {
         bag.reject_unknown(Self::KNOWN_KEYS)?;
         let oversub = bag.get::<f64>("oversub")?.unwrap_or(2.0);
         if !oversub.is_finite() || oversub < 1.0 {
-            return Err(format!("oversub must be a finite value >= 1, got {oversub}"));
+            return Err(format!(
+                "oversub must be a finite value >= 1, got {oversub}"
+            ));
         }
         Ok(FractionalParams { oversub })
     }
@@ -413,190 +237,126 @@ impl FractionalParams {
     }
 }
 
-/// The fractional resource scheduling family: G-Loadsharing placement
-/// over an oversubscribed slot cap.
+/// A validated scheduling policy: the family plus its tunables.
+///
+/// Only [`build_policy`] constructs one, so holding a `Policy` means its
+/// parameter bag was accepted. Placement and the capability flags come
+/// from the [`PolicyKind`]; the tunables only change the admission slot
+/// cap (fractional) and the resize directives (malleable). Everything is
+/// deterministic — randomness draws from the `rng` handed to
+/// [`Policy::place`], and [`Policy::resize`] sees only the node and a
+/// recomputable pressure flag, so the independent oracle can restate
+/// every decision bit-for-bit.
 #[derive(Debug, Clone, Copy)]
-struct FractionalPolicy {
-    params: FractionalParams,
+pub struct Policy {
+    kind: PolicyKind,
+    tunables: Tunables,
 }
 
-impl Policy for FractionalPolicy {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Fractional
+/// The validated knobs of the families that take any.
+#[derive(Debug, Clone, Copy)]
+enum Tunables {
+    None,
+    Malleable(MalleableParams),
+    Fractional(FractionalParams),
+}
+
+impl Policy {
+    /// The policy family (reported in
+    /// [`RunReport::policy`](crate::report::RunReport::policy)).
+    pub fn kind(&self) -> PolicyKind {
+        self.kind
     }
 
-    fn place(
+    /// Decides where a newly submitted (or pending-retried) job goes.
+    pub fn place(
         &self,
         job: &RunningJob,
         home: NodeId,
         index: &LoadIndex,
         rng: &mut SimRng,
     ) -> Placement {
-        PolicyKind::Fractional.place(job, home, index, rng)
+        self.kind.place(job, home, index, rng)
     }
 
-    fn slot_cap(&self, hardware_slots: u32) -> u32 {
-        self.params.slot_cap(hardware_slots)
+    /// The admission slot cap for a workstation with `hardware_slots`
+    /// job slots: whole-slot reservation, except that the fractional
+    /// family oversubscribes.
+    pub fn slot_cap(&self, hardware_slots: u32) -> u32 {
+        match self.tunables {
+            Tunables::Fractional(params) => params.slot_cap(hardware_slots),
+            _ => hardware_slots,
+        }
     }
-}
 
-/// One registry entry: the stable name, the family it builds, the
-/// parameter keys it accepts, and the builder.
-pub struct PolicyEntry {
-    /// The stable registry name (kebab-case; the `--policy` key).
-    pub name: &'static str,
-    /// The policy family the entry builds.
-    pub kind: PolicyKind,
-    /// Parameter keys the builder accepts (empty = takes no parameters).
-    pub known_keys: &'static [&'static str],
-    build: fn(&ParamBag) -> Result<Box<dyn Policy>, String>,
-}
-
-/// The policy registry: every [`PolicyKind`] as an addressable entry.
-/// Order matches [`PolicyKind::ALL`]. Classic builders are capture-free
-/// closures (coerced to `fn` pointers) that reject any parameter.
-pub fn registry() -> [PolicyEntry; 9] {
-    [
-        PolicyEntry {
-            name: "no-loadsharing",
-            kind: PolicyKind::NoLoadSharing,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::NoLoadSharing)))
-            },
-        },
-        PolicyEntry {
-            name: "random",
-            kind: PolicyKind::Random,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::Random)))
-            },
-        },
-        PolicyEntry {
-            name: "cpu-only",
-            kind: PolicyKind::CpuOnly,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::CpuOnly)))
-            },
-        },
-        PolicyEntry {
-            name: "weighted-cpu-mem",
-            kind: PolicyKind::WeightedCpuMem,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::WeightedCpuMem)))
-            },
-        },
-        PolicyEntry {
-            name: "g-loadsharing",
-            kind: PolicyKind::GLoadSharing,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::GLoadSharing)))
-            },
-        },
-        PolicyEntry {
-            name: "suspend-largest",
-            kind: PolicyKind::SuspendLargest,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::SuspendLargest)))
-            },
-        },
-        PolicyEntry {
-            name: "v-reconfiguration",
-            kind: PolicyKind::VReconfiguration,
-            known_keys: &[],
-            build: |bag| {
-                bag.reject_unknown(&[])?;
-                Ok(Box::new(ClassicPolicy(PolicyKind::VReconfiguration)))
-            },
-        },
-        PolicyEntry {
-            name: "malleable",
-            kind: PolicyKind::Malleable,
-            known_keys: MalleableParams::KNOWN_KEYS,
-            build: |bag| {
-                Ok(Box::new(MalleablePolicy {
-                    params: MalleableParams::from_bag(bag)?,
-                }))
-            },
-        },
-        PolicyEntry {
-            name: "fractional",
-            kind: PolicyKind::Fractional,
-            known_keys: FractionalParams::KNOWN_KEYS,
-            build: |bag| {
-                Ok(Box::new(FractionalPolicy {
-                    params: FractionalParams::from_bag(bag)?,
-                }))
-            },
-        },
-    ]
-}
-
-/// The stable registry name of `kind`.
-pub fn policy_name(kind: PolicyKind) -> &'static str {
-    match kind {
-        PolicyKind::NoLoadSharing => "no-loadsharing",
-        PolicyKind::Random => "random",
-        PolicyKind::CpuOnly => "cpu-only",
-        PolicyKind::WeightedCpuMem => "weighted-cpu-mem",
-        PolicyKind::GLoadSharing => "g-loadsharing",
-        PolicyKind::SuspendLargest => "suspend-largest",
-        PolicyKind::VReconfiguration => "v-reconfiguration",
-        PolicyKind::Malleable => "malleable",
-        PolicyKind::Fractional => "fractional",
+    /// `true` if the policy issues [`ResizeDirective`]s at load-exchange
+    /// ticks (the malleable family).
+    pub fn resizes(&self) -> bool {
+        matches!(self.tunables, Tunables::Malleable(_))
     }
-}
 
-/// Builds the plugin for `kind` with `params`.
-///
-/// # Errors
-///
-/// Returns the builder's description of a bad parameter bag.
-pub fn build_policy(kind: PolicyKind, params: &ParamBag) -> Result<Box<dyn Policy>, String> {
-    let entries = registry();
-    let entry = entries
-        .iter()
-        .find(|e| e.kind == kind)
-        // vr-lint::allow(panic-in-lib, reason = "registry() enumerates every PolicyKind variant by construction, pinned by the registry_covers_every_kind test")
-        .expect("every PolicyKind has a registry entry");
-    (entry.build)(params)
-        .map_err(|e| format!("policy `{}`: {e}", entry.name))
-}
-
-/// Builds a policy by registry name with `params`.
-///
-/// # Errors
-///
-/// Returns an error for an unknown name or a bad parameter bag.
-pub fn build_named(name: &str, params: &ParamBag) -> Result<Box<dyn Policy>, String> {
-    let entries = registry();
-    match entries.iter().find(|e| e.name == name) {
-        Some(entry) => (entry.build)(params).map_err(|e| format!("policy `{name}`: {e}")),
-        None => Err(format!(
-            "unknown policy `{name}` (known: {})",
-            entries
+    /// At most one width change for `node` at a load-exchange tick.
+    /// `pressure` is `true` when the cluster pending queue is non-empty —
+    /// a flag both the engine and the oracle can recompute exactly.
+    pub fn resize(&self, node: &Workstation, pressure: bool) -> Option<ResizeDirective> {
+        let Tunables::Malleable(params) = self.tunables else {
+            return None;
+        };
+        if !node.is_up() || node.is_reserved() {
+            return None;
+        }
+        let free = node.slot_cap().saturating_sub(node.used_slots());
+        if pressure && free == 0 {
+            // Queue pressure and no free slot: narrow the widest
+            // malleable job (ties toward the smallest id) so a pending
+            // admission can land here.
+            let job = node
+                .jobs()
                 .iter()
-                .map(|e| e.name)
-                .collect::<Vec<_>>()
-                .join(", ")
-        )),
+                .filter(|j| j.spec.malleable.is_some_and(|m| j.width > m.min_width))
+                .max_by_key(|j| (j.width, std::cmp::Reverse(j.spec.id)))?;
+            let min = job.spec.malleable.map_or(1, |m| m.min_width);
+            let to = job.width.saturating_sub(params.max_step).max(min);
+            return Some(ResizeDirective::Shrink {
+                job: job.spec.id,
+                to,
+            });
+        }
+        if !pressure && free > 0 {
+            // Idle capacity and an empty queue: widen the narrowest
+            // malleable job (ties toward the smallest id) into the spare
+            // slots.
+            let job = node
+                .jobs()
+                .iter()
+                .filter(|j| j.spec.malleable.is_some_and(|m| j.width < m.max_width))
+                .min_by_key(|j| (j.width, j.spec.id))?;
+            let max = job.spec.malleable.map_or(job.width, |m| m.max_width);
+            let to = (job.width + params.max_step.min(free)).min(max);
+            return Some(ResizeDirective::Grow {
+                job: job.spec.id,
+                to,
+            });
+        }
+        None
     }
 }
 
-/// Looks up the [`PolicyKind`] a registry name builds.
-pub fn kind_of(name: &str) -> Option<PolicyKind> {
-    registry().iter().find(|e| e.name == name).map(|e| e.kind)
+/// Builds the policy for `kind`, validating `params` against the keys
+/// its family accepts (the classic families take none).
+///
+/// # Errors
+///
+/// Returns a description of a bad parameter bag, naming the policy.
+pub fn build_policy(kind: PolicyKind, params: &ParamBag) -> Result<Policy, String> {
+    let tunables = match kind {
+        PolicyKind::Malleable => MalleableParams::from_bag(params).map(Tunables::Malleable),
+        PolicyKind::Fractional => FractionalParams::from_bag(params).map(Tunables::Fractional),
+        _ => params.reject_unknown(&[]).map(|()| Tunables::None),
+    };
+    tunables
+        .map(|tunables| Policy { kind, tunables })
+        .map_err(|e| format!("policy `{}`: {e}", kind.kebab_name()))
 }
 
 #[cfg(test)]
@@ -604,17 +364,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_covers_every_kind() {
-        let entries = registry();
-        assert_eq!(entries.len(), PolicyKind::ALL.len());
+    fn name_table_covers_every_kind() {
         for kind in PolicyKind::ALL {
-            let entry = entries.iter().find(|e| e.kind == kind).unwrap();
-            assert_eq!(kind_of(entry.name), Some(kind));
-            assert_eq!(policy_name(kind), entry.name);
+            for name in [kind.to_string().as_str(), kind.token(), kind.kebab_name()] {
+                assert_eq!(PolicyKind::from_name(name), Ok(kind), "{name}");
+            }
             let built = build_policy(kind, &ParamBag::new()).unwrap();
             assert_eq!(built.kind(), kind);
-            let named = build_named(entry.name, &ParamBag::new()).unwrap();
-            assert_eq!(named.kind(), kind);
+        }
+        let err = PolicyKind::from_name("magic").unwrap_err();
+        assert!(err.contains("unknown policy `magic`"), "{err}");
+        for kind in PolicyKind::ALL {
+            for name in [kind.to_string().as_str(), kind.token(), kind.kebab_name()] {
+                assert!(err.contains(name), "{name} missing from: {err}");
+            }
         }
     }
 
@@ -667,11 +430,7 @@ mod tests {
             &ParamBag::new().with("oversub", "NaN")
         )
         .is_err());
-        assert!(build_policy(
-            PolicyKind::Malleable,
-            &ParamBag::new().with("max_step", 0)
-        )
-        .is_err());
+        assert!(build_policy(PolicyKind::Malleable, &ParamBag::new().with("max_step", 0)).is_err());
         assert!(build_policy(
             PolicyKind::Malleable,
             &ParamBag::new().with("max_step", "many")
@@ -692,19 +451,12 @@ mod tests {
     }
 
     #[test]
-    fn classic_capabilities_match_the_enum() {
+    fn tunables_only_change_their_own_family() {
         for kind in PolicyKind::ALL {
             let built = build_policy(kind, &ParamBag::new()).unwrap();
-            assert_eq!(built.migrates_on_overload(), kind.migrates_on_overload());
-            assert_eq!(built.reconfigures(), kind.reconfigures());
-            assert_eq!(built.suspends_on_blocking(), kind.suspends_on_blocking());
+            assert_eq!(built.resizes(), kind == PolicyKind::Malleable, "{kind}");
+            let cap = if kind == PolicyKind::Fractional { 8 } else { 4 };
+            assert_eq!(built.slot_cap(4), cap, "{kind}");
         }
-    }
-
-    #[test]
-    fn unknown_name_lists_the_registry() {
-        let err = build_named("magic", &ParamBag::new()).unwrap_err();
-        assert!(err.contains("unknown policy `magic`"), "{err}");
-        assert!(err.contains("v-reconfiguration"), "{err}");
     }
 }

@@ -81,18 +81,7 @@ pub enum PolicyKind {
 
 impl fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            PolicyKind::NoLoadSharing => "No-Loadsharing",
-            PolicyKind::Random => "Random",
-            PolicyKind::CpuOnly => "CPU-Only",
-            PolicyKind::GLoadSharing => "G-Loadsharing",
-            PolicyKind::VReconfiguration => "V-Reconfiguration",
-            PolicyKind::WeightedCpuMem => "Weighted-CPU-Mem",
-            PolicyKind::SuspendLargest => "Suspend-Largest",
-            PolicyKind::Malleable => "Malleable",
-            PolicyKind::Fractional => "Fractional",
-        };
-        f.write_str(s)
+        f.write_str(self.names()[0])
     }
 }
 
@@ -122,6 +111,56 @@ impl PolicyKind {
         PolicyKind::Fractional,
     ];
 
+    /// The one name table: `[paper name, report token, kebab name]`.
+    /// The paper name is the [`Display`](fmt::Display) form (and the spec
+    /// wire format's), the token is the short `--policy` name and the
+    /// report JSON's `policy` field, and the kebab name is the long
+    /// `--policy` name. [`PolicyKind::from_name`] accepts all three.
+    fn names(self) -> [&'static str; 3] {
+        match self {
+            PolicyKind::NoLoadSharing => ["No-Loadsharing", "none", "no-loadsharing"],
+            PolicyKind::Random => ["Random", "random", "random"],
+            PolicyKind::CpuOnly => ["CPU-Only", "cpu", "cpu-only"],
+            PolicyKind::WeightedCpuMem => ["Weighted-CPU-Mem", "weighted", "weighted-cpu-mem"],
+            PolicyKind::GLoadSharing => ["G-Loadsharing", "gls", "g-loadsharing"],
+            PolicyKind::SuspendLargest => ["Suspend-Largest", "suspend", "suspend-largest"],
+            PolicyKind::VReconfiguration => ["V-Reconfiguration", "vrecon", "v-reconfiguration"],
+            PolicyKind::Malleable => ["Malleable", "malleable", "malleable"],
+            PolicyKind::Fractional => ["Fractional", "fractional", "fractional"],
+        }
+    }
+
+    /// The short token (`gls`), as written in report JSON.
+    pub fn token(self) -> &'static str {
+        self.names()[1]
+    }
+
+    /// The kebab-case name (`g-loadsharing`).
+    pub fn kebab_name(self) -> &'static str {
+        self.names()[2]
+    }
+
+    /// Resolves any of a policy's three spellings: the paper name
+    /// (`G-Loadsharing`), the token (`gls`) or the kebab name
+    /// (`g-loadsharing`).
+    ///
+    /// # Errors
+    ///
+    /// Names the unknown input and lists every accepted spelling.
+    pub fn from_name(name: &str) -> Result<PolicyKind, String> {
+        PolicyKind::ALL
+            .into_iter()
+            .find(|kind| kind.names().contains(&name))
+            .ok_or_else(|| {
+                let mut known: Vec<&str> = PolicyKind::ALL
+                    .into_iter()
+                    .flat_map(PolicyKind::names)
+                    .collect();
+                known.dedup();
+                format!("unknown policy `{name}` (known: {})", known.join(", "))
+            })
+    }
+
     /// `true` if the policy performs fault-driven preemptive migration.
     pub fn migrates_on_overload(self) -> bool {
         matches!(
@@ -145,6 +184,19 @@ impl PolicyKind {
     /// routine on blocking.
     pub fn reconfigures(self) -> bool {
         matches!(self, PolicyKind::VReconfiguration)
+    }
+
+    /// `true` if commit-aware placement applies to this policy (the
+    /// load-index family; random/CPU-only baselines ignore it).
+    pub fn commit_aware_placement(self) -> bool {
+        matches!(
+            self,
+            PolicyKind::GLoadSharing
+                | PolicyKind::VReconfiguration
+                | PolicyKind::SuspendLargest
+                | PolicyKind::Malleable
+                | PolicyKind::Fractional
+        )
     }
 
     /// Decides where to place a newly submitted (or pending-retried) job.

@@ -254,10 +254,8 @@ impl TraceSource for ClusterWorld {
 /// `pub(crate)` (with visible fields) so the invariant auditor in
 /// [`crate::audit`] can inspect the world after every event.
 pub(crate) struct ClusterWorld {
-    /// The policy as a trait object, built from the registry. All
-    /// capability queries and placement calls dispatch through this; the
-    /// enum tag lives on in `config.policy` for the report.
-    plugin: Box<dyn Policy>,
+    /// The validated policy: placement, slot cap and resize directives.
+    policy: Policy,
     pub(crate) config: SimConfig,
     pub(crate) nodes: Vec<Workstation>,
     index: LoadIndex,
@@ -357,17 +355,17 @@ struct DestBound {
 
 impl ClusterWorld {
     fn new(config: &SimConfig, total_jobs: usize) -> Self {
-        let plugin = build_policy(config.policy, &config.policy_params)
+        let policy = build_policy(config.policy, &config.policy_params)
             // vr-lint::allow(panic-in-lib, reason = "SimConfig::validate() rejects unbuildable parameter bags before a world is ever constructed")
             .expect("policy parameters were validated by SimConfig::validate");
         let mut nodes = config.cluster.build_nodes();
         for node in &mut nodes {
-            let cap = plugin.slot_cap(node.params().cpu.slots);
+            let cap = policy.slot_cap(node.params().cpu.slots);
             node.set_slot_cap(cap);
         }
         let node_count = nodes.len();
         let mut world = ClusterWorld {
-            plugin,
+            policy,
             config: config.clone(),
             nodes,
             index: LoadIndex::new(),
@@ -781,7 +779,8 @@ impl ClusterWorld {
     /// Only the GLS-family policies have memory-aware placement to adjust;
     /// the rest fall through to the policy unchanged.
     fn place_decision(&mut self, job: &RunningJob, home: NodeId) -> Placement {
-        if self.config.placement == PlacementMode::CommitAware && self.plugin.commit_aware_placement()
+        if self.config.placement == PlacementMode::CommitAware
+            && self.policy.kind().commit_aware_placement()
         {
             let demand = job.current_working_set();
             if self.index.get(home).is_some_and(|load| {
@@ -811,7 +810,7 @@ impl ClusterWorld {
                 None => Placement::Blocked,
             };
         }
-        self.plugin.place(job, home, &self.index, &mut self.rng)
+        self.policy.place(job, home, &self.index, &mut self.rng)
     }
 
     /// Executes a placement decision for `job`.
@@ -945,7 +944,7 @@ impl ClusterWorld {
     /// still run on every tick while the state persists, so scheduling
     /// behaviour is unchanged.
     fn overload_scan(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        if !self.plugin.migrates_on_overload() {
+        if !self.policy.kind().migrates_on_overload() {
             return;
         }
         // Visit set: nodes that could be over threshold (only nodes hosting
@@ -1049,11 +1048,11 @@ impl ClusterWorld {
                             Some(src),
                         );
                     }
-                    if self.plugin.reconfigures() {
+                    if self.policy.kind().reconfigures() {
                         if self.reconfigure(src, victim_id, victim_ws, now, sched) {
                             bound = self.dest_bound();
                         }
-                    } else if self.plugin.suspends_on_blocking()
+                    } else if self.policy.kind().suspends_on_blocking()
                         && self.suspend_counts[victim_id.0 as usize] < MAX_SUSPENSIONS_PER_JOB
                     {
                         self.suspend_job(src, victim_id, now, sched);
@@ -1098,7 +1097,7 @@ impl ClusterWorld {
     /// are already advanced to `now` by the index refresh at the top of
     /// the Exchange handler.
     fn resize_scan(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
-        if !self.plugin.resizes() {
+        if !self.policy.resizes() {
             return;
         }
         let pressure = !self.pending.is_empty();
@@ -1108,7 +1107,7 @@ impl ClusterWorld {
                 continue;
             }
             let node_id = self.nodes[i].id();
-            let Some(directive) = self.plugin.resize(&self.nodes[i], pressure) else {
+            let Some(directive) = self.policy.resize(&self.nodes[i], pressure) else {
                 continue;
             };
             if !self.nodes[i].resize_job(directive.job(), directive.to(), now) {

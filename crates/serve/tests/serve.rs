@@ -153,6 +153,20 @@ fn malformed_requests_get_wellformed_errors() {
 }
 
 #[test]
+fn invalid_malleable_range_is_rejected_without_a_simulation() {
+    let server = start(test_config("malleable")).unwrap();
+    let addr = server.addr();
+    let spec = "policy Malleable\n\
+                node user_mb=128 slots=4\n\
+                job submit_us=0 cpu_work_us=1000000 ws_mb=8 malleable=0:0\n";
+    let resp = request(addr, "POST", "/run", spec, TIMEOUT).unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("min_width"), "{}", resp.body);
+    assert_eq!(stat(&stats(addr), "sims_executed"), 0);
+    server.shutdown();
+}
+
+#[test]
 fn identical_concurrent_requests_coalesce_onto_one_simulation() {
     let server = start(test_config("coalesce")).unwrap();
     let addr = server.addr();

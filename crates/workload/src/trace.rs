@@ -158,7 +158,8 @@ impl Trace {
         self.jobs.iter().map(|j| j.cpu_work.as_secs_f64()).sum()
     }
 
-    /// Checks the trace's structural invariants (ordering, id sequence).
+    /// Checks the trace's structural invariants (ordering, id sequence,
+    /// non-zero work, malleable width ranges).
     ///
     /// # Errors
     ///
@@ -173,6 +174,9 @@ impl Trace {
             }
             if job.cpu_work.is_zero() {
                 return Err(format!("job {i} has zero CPU work"));
+            }
+            if let Some(range) = job.malleable {
+                range.validate().map_err(|e| format!("job {i}: {e}"))?;
             }
         }
         Ok(())
@@ -249,6 +253,7 @@ pub fn app_trace_scaled(level: TraceLevel, rng: &mut SimRng, scale: f64) -> Trac
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vr_cluster::job::MalleableSpec;
 
     #[test]
     fn levels_match_paper_parameters() {
@@ -316,6 +321,23 @@ mod tests {
         trace.jobs[5].submit = SimTime::ZERO;
         trace.jobs[4].submit = SimTime::from_secs(3000);
         assert!(trace.validate().is_err());
+    }
+
+    #[test]
+    fn validate_catches_bad_malleable_ranges() {
+        let mut trace = spec_trace(TraceLevel::Light, &mut SimRng::seed_from(1));
+        for (min_width, max_width) in [(0, 0), (3, 1)] {
+            trace.jobs[2].malleable = Some(MalleableSpec {
+                min_width,
+                max_width,
+            });
+            assert!(trace.validate().is_err(), "{min_width}:{max_width}");
+        }
+        trace.jobs[2].malleable = Some(MalleableSpec {
+            min_width: 1,
+            max_width: 3,
+        });
+        trace.validate().unwrap();
     }
 
     #[test]

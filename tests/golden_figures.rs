@@ -143,17 +143,17 @@ fn reduced_fig1_fig2_match_golden_snapshots() {
     }
 }
 
-/// Every pre-plugin policy family, resolved **through the registry** (name
-/// round-trip plus a rendered-and-reparsed parameter bag), reproduces a
-/// byte-identical `RunReport` on the golden scenarios. This is the contract
-/// the plugin refactor was built under: the registry is a new front door,
-/// not a new scheduler. All seven families run the Light golden trace —
+/// Every classic policy family, resolved **through the name table** (each
+/// of its three spellings back through `PolicyKind::from_name`, plus a
+/// rendered-and-reparsed parameter bag), reproduces a byte-identical
+/// `RunReport` on the golden scenarios: names are a front door, not a
+/// scheduler. All seven families run the Light golden trace —
 /// the heavier traces take minutes per non-sharing family in debug builds
 /// and add no byte-identity coverage (the snapshot test above already
 /// pins their behaviour).
 #[test]
 fn registry_resolution_is_byte_identical_on_golden_scenarios() {
-    use vrecon::plugin::{kind_of, policy_name, ParamBag};
+    use vrecon::plugin::ParamBag;
     use vrecon::report_json::encode_report;
 
     let classic = [
@@ -170,10 +170,17 @@ fn registry_resolution_is_byte_identical_on_golden_scenarios() {
         let trace = spec_trace_scaled(level, &mut SimRng::seed_from(TRACE_SEED), LIFETIME_SCALE);
 
         let direct = SimConfig::new(reduced_cluster(), policy).with_seed(SCHED_SEED);
-        let via_registry = kind_of(policy_name(policy))
-            .unwrap_or_else(|| panic!("{policy} has no registry entry"));
+        let names = [
+            policy.to_string(),
+            policy.token().into(),
+            policy.kebab_name().into(),
+        ];
+        for name in &names {
+            assert_eq!(PolicyKind::from_name(name), Ok(policy), "{name}");
+        }
+        let via_table = PolicyKind::from_name(policy.kebab_name()).unwrap();
         let bag = ParamBag::parse(&ParamBag::new().render()).unwrap();
-        let resolved = SimConfig::new(reduced_cluster(), via_registry)
+        let resolved = SimConfig::new(reduced_cluster(), via_table)
             .with_policy_params(bag)
             .with_seed(SCHED_SEED);
 
@@ -181,7 +188,7 @@ fn registry_resolution_is_byte_identical_on_golden_scenarios() {
         let b = encode_report(&Simulation::new(resolved).run(&trace));
         assert_eq!(
             a, b,
-            "{policy} on {}: registry-resolved run drifted from the enum-built run",
+            "{policy} on {}: name-resolved run drifted from the enum-built run",
             trace.name
         );
     }
