@@ -89,8 +89,8 @@ impl CpuParams {
 
     /// The per-job CPU share `speed · ε(k) / k` (CPU seconds per wall second
     /// before stalls) when `k` jobs are multiprogrammed — the job-independent
-    /// scalar of [`CpuParams::progress_rates`], exposed so fused callers can
-    /// evaluate `share / (1 + sᵢ)` per job without a separate rate pass.
+    /// scalar of [`CpuParams::progress_rates`], exposed for callers that
+    /// weight it per job (malleable widths).
     pub fn progress_share(&self, k: usize) -> f64 {
         self.speed * self.efficiency(k) / k as f64
     }

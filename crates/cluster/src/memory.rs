@@ -118,9 +118,12 @@ impl FaultModel {
     }
 
     /// [`FaultModel::stall_factors`] into a caller-owned buffer (cleared
-    /// first), so the simulation hot path can reuse its allocation. The
-    /// arithmetic is identical term for term: it is defined over
-    /// [`FaultModel::stall_curve`], which fused callers share.
+    /// first), so the simulation hot path can reuse its allocation.
+    ///
+    /// Each job's factor is `s_j = κ_eff · (w_j / w̄)`, with `κ_eff` and the
+    /// mean working set `w̄` derived once from the node's total demand; every
+    /// job stalls exactly 0.0 when the node is not oversubscribed (or
+    /// faulting is disabled).
     pub fn stall_factors_into(&self, working_sets: &[Bytes], user: Bytes, out: &mut Vec<f64>) {
         out.clear();
         let k = working_sets.len();
@@ -128,28 +131,16 @@ impl FaultModel {
             return;
         }
         let total: Bytes = working_sets.iter().copied().sum();
-        let curve = self.stall_curve(total, k, user);
-        out.extend(working_sets.iter().map(|w| curve.stall(*w)));
-    }
-
-    /// The node-wide stall curve for one integration segment: the scalars of
-    /// the per-job formula `s_j = κ_eff · (w_j / w̄)` precomputed from the
-    /// total demand `total` of `k` resident working sets. Callers that
-    /// already know each job's working set evaluate [`StallCurve::stall`]
-    /// per job in a single fused pass; [`FaultModel::stall_factors_into`] is
-    /// itself defined over this curve, so the two paths cannot drift.
-    pub fn stall_curve(&self, total: Bytes, k: usize, user: Bytes) -> StallCurve {
-        const FLAT: StallCurve = StallCurve {
-            kappa_eff: 0.0,
-            mean_ws: 1.0,
-            flat_zero: true,
-        };
         let overflow = total.saturating_sub(user);
         if overflow.is_zero() || total.is_zero() {
-            return FLAT;
+            out.resize(k, 0.0);
+            return;
         }
         let kappa_eff = match self {
-            FaultModel::Off => return FLAT,
+            FaultModel::Off => {
+                out.resize(k, 0.0);
+                return;
+            }
             FaultModel::LinearOverflow { kappa } => {
                 kappa * (overflow.as_u64() as f64 / user.as_u64() as f64)
             }
@@ -158,11 +149,12 @@ impl FaultModel {
                 kappa * rho * rho
             }
         };
-        StallCurve {
-            kappa_eff,
-            mean_ws: total.as_u64() as f64 / k as f64,
-            flat_zero: false,
-        }
+        let mean_ws = total.as_u64() as f64 / k as f64;
+        out.extend(
+            working_sets
+                .iter()
+                .map(|w| kappa_eff * (w.as_u64() as f64 / mean_ws)),
+        );
     }
 
     /// Estimated page faults per second of CPU progress for a job with the
@@ -173,32 +165,6 @@ impl FaultModel {
             0.0
         } else {
             stall_factor / service
-        }
-    }
-}
-
-/// Per-segment stall scalars built by [`FaultModel::stall_curve`]. Within
-/// one integration segment the job population and total demand are constant,
-/// so the per-job stall factor reduces to a job-independent scale applied to
-/// each working set.
-#[derive(Debug, Clone, Copy)]
-pub struct StallCurve {
-    kappa_eff: f64,
-    mean_ws: f64,
-    /// `true` when the node is not oversubscribed (or faulting is disabled):
-    /// every job stalls exactly 0.0 regardless of its working set.
-    flat_zero: bool,
-}
-
-impl StallCurve {
-    /// Stall factor (stall seconds per CPU second) for one job with working
-    /// set `w` under this curve.
-    #[inline]
-    pub fn stall(&self, w: Bytes) -> f64 {
-        if self.flat_zero {
-            0.0
-        } else {
-            self.kappa_eff * (w.as_u64() as f64 / self.mean_ws)
         }
     }
 }

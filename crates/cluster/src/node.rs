@@ -111,14 +111,29 @@ const EPS: f64 = 1e-9;
 /// [`MemoryProfile::working_set_at`]: crate::job::MemoryProfile::working_set_at
 const BOUNDARY_EPS: f64 = 1e-6;
 
-/// Reusable buffers for the per-segment rate computation, so the
-/// integration hot path performs no allocation once warmed up.
+/// The segment rate cache: each resident job's stall, rate and next phase
+/// boundary, in job order, kept between advances. They only change when
+/// the node's epoch moves or a job crosses into its next memory phase, so
+/// [`Workstation::segment_rates`] reuses them until then and the
+/// integration hot path neither recomputes nor allocates.
 #[derive(Debug, Clone, Default)]
 struct RateScratch {
     working_sets: Vec<Bytes>,
     stalls: Vec<f64>,
     rates: Vec<f64>,
     remaining: Vec<f64>,
+    /// Next phase boundary in progress seconds (`INFINITY` if none).
+    boundaries: Vec<f64>,
+    /// Crossing threshold in progress microseconds: [`RunningJob::progress`]
+    /// is `(p·1e6).round()` (half away from zero), so it reaches the integer
+    /// boundary `b` exactly when `p·1e6 >= b − 0.5`.
+    thresholds: Vec<f64>,
+    /// The epoch the buffers were computed at; `None` once a job crossed a
+    /// boundary, and always `None` under thrashing protection (whose
+    /// stalls depend on remaining work).
+    epoch: Option<u64>,
+    /// Recomputations so far (see [`Workstation::rate_passes`]).
+    passes: u64,
 }
 
 /// A simulated workstation with lazily advanced resident jobs.
@@ -148,8 +163,8 @@ pub struct Workstation {
     /// drift across memory phases). Makes [`Workstation::memory_usage`]
     /// O(1) instead of O(jobs).
     demand: Bytes,
-    /// Rate-computation buffers, behind a `RefCell` so the `&self` paths
-    /// ([`Workstation::next_event_in`]) reuse them too.
+    /// The segment rate cache, behind a `RefCell` so the `&self` path
+    /// ([`Workstation::next_event_in`]) can fill it too.
     scratch: std::cell::RefCell<RateScratch>,
 }
 
@@ -344,6 +359,15 @@ impl Workstation {
         self.counters
     }
 
+    /// How many times this node recomputed its segment rates (an epoch
+    /// change, a phase-boundary crossing, or thrashing protection); every
+    /// other integration segment and wake-up query reused them. A
+    /// deterministic work counter, kept out of [`NodeCounters`] so reports
+    /// do not carry it.
+    pub fn rate_passes(&self) -> u64 {
+        self.scratch.borrow().passes
+    }
+
     /// Timestamp of the last advancement.
     pub fn last_update(&self) -> SimTime {
         self.last_update
@@ -471,65 +495,17 @@ impl Workstation {
             return;
         }
         let mut remaining = (now - self.last_update).as_secs_f64();
-        let mut advanced = false;
+        // A completion or a phase crossing changed the resident working sets.
+        let mut reshaped = false;
         while remaining > EPS && !self.jobs.is_empty() {
-            advanced = true;
-            let mut scratch = self.scratch.borrow_mut();
+            self.segment_rates();
             // Time until the earliest completion or phase boundary.
-            let mut dt = remaining;
-            if self.fused_rates_apply() {
-                // Fused fast path (paper-standard configuration): stall and
-                // rate reduce to job-independent scalars applied per working
-                // set, so one pass computes both buffers *and* folds the dt
-                // candidates — the arithmetic per value is identical term
-                // for term to [`Workstation::fill_rates`], only the loop
-                // structure differs.
-                let total: Bytes = self.jobs.iter().map(|j| j.current_working_set()).sum();
-                let curve = self.params.fault_model.stall_curve(
-                    total,
-                    self.jobs.len(),
-                    self.params.memory.user,
-                );
-                let share = self.params.cpu.progress_share(self.jobs.len());
-                scratch.stalls.clear();
-                scratch.rates.clear();
-                for job in &self.jobs {
-                    let s = curve.stall(job.current_working_set());
-                    let r = share / (1.0 + s);
-                    scratch.stalls.push(s);
-                    scratch.rates.push(r);
-                    if r > 0.0 {
-                        dt = dt.min(job.remaining_secs() / r);
-                        if let Some(boundary) = job.next_phase_boundary() {
-                            let gap = boundary.as_secs_f64() - job.progress_secs;
-                            if gap > BOUNDARY_EPS {
-                                dt = dt.min(gap / r);
-                            }
-                        }
-                    }
-                }
-            } else {
-                Self::fill_rates(&self.params, &self.jobs, self.stall_scale, &mut scratch);
-                let rates = &scratch.rates;
-                for (i, job) in self.jobs.iter().enumerate() {
-                    if rates[i] <= 0.0 {
-                        continue;
-                    }
-                    let to_completion = job.remaining_secs() / rates[i];
-                    dt = dt.min(to_completion);
-                    if let Some(boundary) = job.next_phase_boundary() {
-                        let gap = boundary.as_secs_f64() - job.progress_secs;
-                        if gap > BOUNDARY_EPS {
-                            dt = dt.min(gap / rates[i]);
-                        }
-                    }
-                }
-            }
-            let RateScratch { rates, stalls, .. } = &*scratch;
-            let dt = dt.max(0.0);
+            let dt = self.earliest_event(remaining).max(0.0);
+            let scratch = self.scratch.get_mut();
             // Integrate the segment.
+            let mut crossed = false;
             for (i, job) in self.jobs.iter_mut().enumerate() {
-                let slice = ServiceSlice::split(dt, rates[i], stalls[i]);
+                let slice = ServiceSlice::split(dt, scratch.rates[i], scratch.stalls[i]);
                 job.progress_secs += slice.cpu;
                 job.breakdown.cpu += slice.cpu;
                 job.breakdown.page += slice.page;
@@ -537,8 +513,11 @@ impl Workstation {
                 self.counters.delivered_cpu += slice.cpu;
                 self.counters.page_stall += slice.page;
                 self.counters.io_ops += slice.cpu * job.spec.io_rate;
+                crossed |= job.progress_secs * 1e6 >= scratch.thresholds[i];
             }
-            drop(scratch);
+            if crossed {
+                scratch.epoch = None;
+            }
             remaining -= dt;
             // Collect completions at the segment end.
             let completion_time = now - SimSpan::from_secs_f64(remaining.max(0.0));
@@ -559,15 +538,15 @@ impl Workstation {
                     i += 1;
                 }
             }
+            reshaped |= crossed || collected > 0;
             if dt <= EPS && collected == 0 && !self.jobs.is_empty() {
                 // No progress possible (all rates zero): avoid spinning.
                 break;
             }
         }
-        if advanced {
-            // Progress may have crossed memory-phase boundaries (and
-            // completions left); re-derive the demand cache once per
-            // advancement instead of on every read.
+        if reshaped {
+            // Re-derive the demand cache once per advancement instead of on
+            // every read; otherwise every working set is unchanged.
             self.demand = self.jobs.iter().map(|j| j.current_working_set()).sum();
         }
         self.last_update = now;
@@ -586,80 +565,87 @@ impl Workstation {
         if self.jobs.is_empty() {
             return None;
         }
-        let mut earliest = f64::INFINITY;
-        if self.fused_rates_apply() {
-            // Allocation-free fused pass; see the twin in
-            // [`Workstation::advance_to`] for the equivalence argument.
-            let total: Bytes = self.jobs.iter().map(|j| j.current_working_set()).sum();
-            let curve = self.params.fault_model.stall_curve(
-                total,
-                self.jobs.len(),
-                self.params.memory.user,
-            );
-            let share = self.params.cpu.progress_share(self.jobs.len());
-            for job in &self.jobs {
-                let r = share / (1.0 + curve.stall(job.current_working_set()));
-                if r <= 0.0 {
-                    continue;
-                }
-                earliest = earliest.min(job.remaining_secs() / r);
-                if let Some(boundary) = job.next_phase_boundary() {
-                    let gap = boundary.as_secs_f64() - job.progress_secs;
-                    if gap > BOUNDARY_EPS {
-                        earliest = earliest.min(gap / r);
-                    }
-                }
-            }
-        } else {
-            let mut scratch = self.scratch.borrow_mut();
-            Self::fill_rates(&self.params, &self.jobs, self.stall_scale, &mut scratch);
-            let rates = &scratch.rates;
-            for (i, job) in self.jobs.iter().enumerate() {
-                if rates[i] <= 0.0 {
-                    continue;
-                }
-                earliest = earliest.min(job.remaining_secs() / rates[i]);
-                if let Some(boundary) = job.next_phase_boundary() {
-                    let gap = boundary.as_secs_f64() - job.progress_secs;
-                    if gap > BOUNDARY_EPS {
-                        earliest = earliest.min(gap / rates[i]);
-                    }
-                }
-            }
-        }
-        if earliest.is_finite() {
-            Some(SimSpan::from_secs_f64(earliest.max(0.0)))
-        } else {
-            None
-        }
+        self.segment_rates();
+        let earliest = self.earliest_event(f64::INFINITY);
+        earliest
+            .is_finite()
+            .then(|| SimSpan::from_secs_f64(earliest.max(0.0)))
     }
 
-    /// `true` when the fused single-pass rate computation applies: thrashing
-    /// protection off and no network-RAM stall scaling, so stall factors and
-    /// rates are pure per-job functions of one [`StallCurve`] and one CPU
-    /// share. Everything else falls back to [`Workstation::fill_rates`].
-    fn fused_rates_apply(&self) -> bool {
-        self.params.protection == ThrashingProtection::Off
-            // vr-lint::allow(float-eq, reason = "sentinel check: 1.0 is the exact no-scaling default, assigned verbatim and never computed")
-            && self.stall_scale == 1.0
-            && self.used_slots as usize == self.jobs.len()
+    /// Makes the rate cache hold the segment starting now: reused when it
+    /// was computed at the current epoch and no job has crossed a phase
+    /// boundary since, otherwise recomputed by [`Workstation::fill_rates`].
+    fn segment_rates(&self) {
+        let mut scratch = self.scratch.borrow_mut();
+        if scratch.epoch == Some(self.epoch) {
+            #[cfg(debug_assertions)]
+            self.debug_check_rates(&scratch);
+            return;
+        }
+        self.fill_rates(&mut scratch);
+        scratch.epoch = (self.params.protection == ThrashingProtection::Off).then_some(self.epoch);
+        scratch.passes += 1;
     }
 
-    /// Fills `scratch.rates` / `scratch.stalls` for the given job set. An
-    /// associated function over disjoint fields (rather than `&self`) so
-    /// [`Workstation::advance_to`] can keep `jobs` mutably borrowed around
-    /// the scratch buffers. Arithmetic is identical to the historical
-    /// allocating implementation, term for term.
-    fn fill_rates(
-        params: &NodeParams,
-        jobs: &[RunningJob],
-        stall_scale: f64,
-        scratch: &mut RateScratch,
-    ) {
+    /// Debug cross-check (runs under `cargo test`; release builds skip it):
+    /// a cache hit must hold bit for bit what a fresh rate pass computes.
+    #[cfg(debug_assertions)]
+    fn debug_check_rates(&self, cached: &RateScratch) {
+        let mut fresh = RateScratch::default();
+        self.fill_rates(&mut fresh);
+        let bits = |s: &RateScratch| {
+            [&s.stalls, &s.rates, &s.boundaries, &s.thresholds]
+                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        debug_assert_eq!(
+            bits(cached),
+            bits(&fresh),
+            "cached stalls, rates, boundaries or thresholds diverged from a fresh rate pass"
+        );
+    }
+
+    /// Seconds from now to the earliest completion or phase boundary under
+    /// the cached rates, capped at `horizon`. A boundary within
+    /// [`BOUNDARY_EPS`] counts as already crossed.
+    fn earliest_event(&self, horizon: f64) -> f64 {
+        let scratch = self.scratch.borrow();
+        let mut dt = horizon;
+        for ((job, &rate), &boundary) in self
+            .jobs
+            .iter()
+            .zip(&scratch.rates)
+            .zip(&scratch.boundaries)
+        {
+            if rate <= 0.0 {
+                continue;
+            }
+            dt = dt.min(job.remaining_secs() / rate);
+            let gap = boundary - job.progress_secs;
+            if gap > BOUNDARY_EPS {
+                dt = dt.min(gap / rate);
+            }
+        }
+        dt
+    }
+
+    /// Fills the whole rate cache from scratch for the resident jobs.
+    /// Arithmetic is identical to the historical allocating implementation,
+    /// term for term.
+    fn fill_rates(&self, scratch: &mut RateScratch) {
+        let (params, jobs) = (&self.params, &self.jobs);
         scratch.working_sets.clear();
-        scratch
-            .working_sets
-            .extend(jobs.iter().map(|j| j.current_working_set()));
+        scratch.boundaries.clear();
+        scratch.thresholds.clear();
+        for job in jobs {
+            scratch.working_sets.push(job.current_working_set());
+            let (boundary, threshold) = job
+                .next_phase_boundary()
+                .map_or((f64::INFINITY, f64::INFINITY), |b| {
+                    (b.as_secs_f64(), b.as_micros() as f64 - 0.5)
+                });
+            scratch.boundaries.push(boundary);
+            scratch.thresholds.push(threshold);
+        }
         params.fault_model.stall_factors_into(
             &scratch.working_sets,
             params.memory.user,
@@ -677,9 +663,9 @@ impl Workstation {
             );
         }
         // vr-lint::allow(float-eq, reason = "sentinel check: 1.0 is the exact no-scaling default, assigned verbatim and never computed")
-        if stall_scale != 1.0 {
+        if self.stall_scale != 1.0 {
             for s in &mut scratch.stalls {
-                *s *= stall_scale;
+                *s *= self.stall_scale;
             }
         }
         let total_width: u32 = jobs.iter().map(|j| j.width).sum();
@@ -737,6 +723,8 @@ impl Workstation {
 mod tests {
     use super::*;
     use crate::job::{JobClass, JobSpec, MemoryProfile};
+
+    const PROTECTED_DRIVE_DIGEST: u64 = 0xf963_50d5_5b90_b727;
 
     fn params() -> NodeParams {
         NodeParams {
@@ -1074,5 +1062,208 @@ mod tests {
         node.advance_to(SimTime::from_secs(10));
         // 5 seconds of progress at 3 ops/s = 15 ops.
         assert!((node.counters().io_ops - 15.0).abs() < 1e-6);
+    }
+
+    /// A job with `phases` of `(until progress secs, MB)`, then `last_mb`
+    /// for the rest of its work.
+    fn phased(id: u64, phases: &[(f64, u64)], last_mb: u64, cpu_secs: f64) -> RunningJob {
+        let mut j = job(id, 0, cpu_secs);
+        let mut list: Vec<(SimSpan, Bytes)> = phases
+            .iter()
+            .map(|&(until, mb)| (SimSpan::from_secs_f64(until), Bytes::from_mb(mb)))
+            .collect();
+        list.push((SimSpan::MAX, Bytes::from_mb(last_mb)));
+        j.spec.memory = MemoryProfile::from_phases(list).unwrap();
+        j
+    }
+
+    /// Bit patterns of everything a node's future and its reports read:
+    /// resident and completed jobs, counters, demand and the next wake-up.
+    fn fingerprint(node: &Workstation) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for j in node.jobs().iter().chain(node.pending_completions()) {
+            bits.extend([
+                j.id().0,
+                j.progress_secs.to_bits(),
+                j.breakdown.cpu.to_bits(),
+                j.breakdown.page.to_bits(),
+                j.breakdown.queue.to_bits(),
+                j.completed_at.map_or(u64::MAX, SimTime::as_micros),
+            ]);
+        }
+        let c = node.counters();
+        bits.extend([
+            c.delivered_cpu.to_bits(),
+            c.page_stall.to_bits(),
+            c.io_ops.to_bits(),
+            c.admitted,
+            c.completed,
+            c.migrated_out,
+            node.memory_usage().demand.as_u64(),
+            node.next_event_in().map_or(u64::MAX, SimSpan::as_micros),
+        ]);
+        bits
+    }
+
+    /// Three jobs that page, cross phase boundaries and complete within a
+    /// two-minute drive.
+    fn admit_phased_mix(node: &mut Workstation) {
+        node.try_admit(phased(1, &[(3.3, 40), (7.1, 90)], 20, 30.0), SimTime::ZERO)
+            .unwrap();
+        node.try_admit(
+            phased(2, &[(2.25, 100), (9.0, 20)], 70, 40.0),
+            SimTime::ZERO,
+        )
+        .unwrap();
+        node.try_admit(job(3, 30, 25.0), SimTime::ZERO).unwrap();
+    }
+
+    #[test]
+    fn forced_recompute_every_tick_matches_the_rate_cache() {
+        let mut cached = Workstation::new(NodeId(0), params());
+        let mut forced = Workstation::new(NodeId(1), params());
+        admit_phased_mix(&mut cached);
+        admit_phased_mix(&mut forced);
+        for t in 1..=120 {
+            // A reservation flip bumps the epoch: every tick of `forced`
+            // starts from a fresh rate pass.
+            forced.set_reserved(true);
+            forced.set_reserved(false);
+            cached.advance_to(SimTime::from_secs(t));
+            forced.advance_to(SimTime::from_secs(t));
+            assert_eq!(fingerprint(&cached), fingerprint(&forced), "tick {t}");
+        }
+        assert_eq!(cached.counters().completed, 3);
+        assert!(
+            cached.rate_passes() < forced.rate_passes(),
+            "{} cached vs {} forced rate passes",
+            cached.rate_passes(),
+            forced.rate_passes()
+        );
+    }
+
+    #[test]
+    fn sub_microsecond_boundary_switches_phase_on_the_next_advance() {
+        let boundary = SimSpan::from_secs(5);
+        let mut near = phased(1, &[(5.0, 10)], 150, 50.0);
+        near.progress_secs = 5.0 - 0.7e-6;
+        // Within BOUNDARY_EPS of the boundary, but progress still rounds
+        // to the microsecond before it: the old phase is current.
+        assert!(boundary.as_secs_f64() - near.progress_secs <= BOUNDARY_EPS);
+        assert!(near.progress() < boundary);
+        assert_eq!(near.current_working_set(), Bytes::from_mb(10));
+        let start = SimTime::from_secs(10);
+        let build = |jobs: &[RunningJob], at: SimTime| {
+            let mut node = Workstation::new(NodeId(0), params());
+            for j in jobs {
+                node.try_admit(j.clone(), at).unwrap();
+            }
+            node
+        };
+        let mut node = build(&[near, job(2, 60, 50.0)], start);
+        // Warm the cache with the old phase's rates.
+        assert!(node.next_event_in().is_some());
+        assert!(!node.is_faulting());
+        for t in 11..=14 {
+            let at = SimTime::from_secs(t);
+            let mut fresh = build(node.jobs(), node.last_update());
+            node.advance_to(at);
+            fresh.advance_to(at);
+            assert_eq!(
+                node.jobs(),
+                fresh.jobs(),
+                "tick {t}: cached node diverged from a fresh one"
+            );
+            assert_eq!(node.next_event_in(), fresh.next_event_in(), "tick {t}");
+            // The first advance crossed; from then on both jobs page.
+            assert_eq!(node.jobs()[0].current_working_set(), Bytes::from_mb(150));
+            assert_eq!(node.memory_usage().demand, Bytes::from_mb(210));
+            assert!(node.is_faulting());
+        }
+        assert!(node.jobs()[0].breakdown.page > 0.0);
+    }
+
+    #[test]
+    fn thrashing_protection_never_reuses_rates() {
+        let mut p = params();
+        p.protection = ThrashingProtection::ProtectShortestRemaining;
+        let mut node = Workstation::new(NodeId(0), p);
+        admit_phased_mix(&mut node);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for t in 1..=120 {
+            let before = node.rate_passes();
+            node.advance_to(SimTime::from_secs(t));
+            if node.active_jobs() > 0 {
+                let after_advance = node.rate_passes();
+                assert!(after_advance > before, "tick {t}: advance reused rates");
+                assert!(node.next_event_in().is_some());
+                assert_eq!(
+                    node.rate_passes(),
+                    after_advance + 1,
+                    "tick {t}: wake-up query reused rates"
+                );
+            }
+            for word in fingerprint(&node) {
+                digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(node.counters().completed, 3);
+        // Every tick's fingerprint folded into one FNV-1a word; pinned on
+        // the implementation that recomputed rates on every segment.
+        assert_eq!(digest, PROTECTED_DRIVE_DIGEST, "got {digest:#x}");
+    }
+
+    #[test]
+    fn rate_passes_count_epoch_bumps_and_crossings() {
+        let mut node = Workstation::new(NodeId(0), params());
+        let mut expected = 0;
+        // Each admission is followed by a wake-up query, as the engine does.
+        for j in [
+            phased(1, &[(3.3, 40), (7.1, 90)], 20, 300.0),
+            phased(2, &[(2.25, 100), (9.0, 20)], 70, 12.0),
+            job(3, 30, 25.0),
+        ] {
+            node.try_admit(j, SimTime::ZERO).unwrap();
+            assert!(node.next_event_in().is_some());
+            expected += 1;
+            assert_eq!(node.rate_passes(), expected);
+        }
+        let phase_index = |j: &RunningJob| {
+            let progress = j.progress();
+            j.spec
+                .memory
+                .phases()
+                .iter()
+                .take_while(|p| p.until_progress <= progress)
+                .count() as u64
+        };
+        for t in 1..=100 {
+            let epoch = node.epoch();
+            if t == 20 || t == 40 {
+                node.set_reserved(t == 20);
+            }
+            let phases: Vec<(JobId, u64)> = node
+                .jobs()
+                .iter()
+                .map(|j| (j.id(), phase_index(j)))
+                .collect();
+            node.advance_to(SimTime::from_secs(t));
+            assert!(node.next_event_in().is_some());
+            let crossings: u64 = node
+                .jobs()
+                .iter()
+                .chain(node.pending_completions())
+                .map(|j| {
+                    let (_, was) = phases.iter().find(|(id, _)| *id == j.id()).unwrap();
+                    phase_index(j) - was
+                })
+                .sum();
+            node.take_completed();
+            expected += (node.epoch() - epoch) + crossings;
+            assert_eq!(node.rate_passes(), expected, "tick {t}");
+        }
+        assert_eq!(node.counters().completed, 2);
+        // The cache carried most ticks: far fewer passes than segments.
+        assert!(expected < 30, "{expected} rate passes in 100 ticks");
     }
 }

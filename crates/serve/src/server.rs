@@ -15,7 +15,8 @@
 //! genuinely new work, never queueing it invisibly.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -281,6 +282,7 @@ fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
         let _ = write_response(&mut stream, &response);
         finish_request(state, &watch, None, Outcome::None, &response);
         state.active_conns.fetch_sub(1, Ordering::SeqCst);
+        close_unread(&mut stream);
         return;
     }
 
@@ -309,6 +311,30 @@ fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
         }
     }
     state.active_conns.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// How long a rejected connection's unread request may take to drain.
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(200);
+/// The most request bytes read (and discarded) from a rejected connection.
+const DRAIN_LIMIT: usize = 64 * 1024;
+
+/// Closes a connection whose request was never read, without resetting
+/// it. Closing a socket with unread received bytes makes the kernel send
+/// an RST, which can reach the client before it has read the response.
+/// So half-close first (the client sees the end of the response), then
+/// discard what the client sent, bounded in time and bytes.
+fn close_unread(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(DRAIN_TIMEOUT));
+    let watch = Stopwatch::start();
+    let mut buf = [0u8; 4096];
+    let mut drained = 0;
+    while drained < DRAIN_LIMIT && !watch.expired(DRAIN_TIMEOUT) {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 fn finish_request(

@@ -2,7 +2,7 @@
 //! across tiers, worker counts, and restarts; protocol rejection paths;
 //! request coalescing; bounded admission; and corrupt-cache recovery.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -341,5 +341,39 @@ fn connection_cap_rejects_with_429() {
     };
     // At least the probe above was rejected; polling may add more.
     assert!(stat(&doc, "rejected_conns") >= 1, "{doc:?}");
+    server.shutdown();
+}
+
+#[test]
+fn connection_cap_429_survives_an_unread_request_body() {
+    let server = start(ServeConfig {
+        max_conns: 1,
+        ..test_config("conncap-body")
+    })
+    .unwrap();
+    let addr = server.addr();
+    let held = TcpStream::connect(addr).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let mut probe = TcpStream::connect(addr).unwrap();
+    probe.set_read_timeout(Some(TIMEOUT)).unwrap();
+    // Let the server answer 429 first, then send a whole request it will
+    // never parse: its unread bytes must not turn the close into a reset
+    // that discards the status before the client reads it.
+    std::thread::sleep(Duration::from_millis(20));
+    let body = "x".repeat(32 * 1024);
+    let head = format!(
+        "POST /run HTTP/1.1\r\nHost: vrecon\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    probe.write_all(head.as_bytes()).unwrap();
+    probe.write_all(body.as_bytes()).unwrap();
+    let mut first = [0u8; 64];
+    let n = probe.read(&mut first).expect("first read of the 429");
+    let status_line = String::from_utf8_lossy(&first[..n]);
+    assert!(
+        status_line.starts_with("HTTP/1.1 429"),
+        "first read: {status_line:?}"
+    );
+    drop(held);
     server.shutdown();
 }
