@@ -367,3 +367,89 @@ fn main() {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed baseline the CI gate checks against.
+    const BASELINE: &str = include_str!("../../../../BENCH_engine.json");
+
+    /// Results that reproduce `doc` exactly, as a run matching it would.
+    fn results_of(doc: &Json) -> Vec<LevelResult> {
+        let traces = doc.get("traces").and_then(Json::as_arr).unwrap();
+        traces
+            .iter()
+            .map(|t| {
+                let u = |field: &str| t.get(field).and_then(Json::as_u64).unwrap();
+                let f = |field: &str| t.get(field).and_then(Json::as_f64).unwrap();
+                let text = |field: &str| t.get(field).and_then(Json::as_str).unwrap().to_owned();
+                let Some(Json::Obj(kinds)) = t.get("kinds") else {
+                    panic!("trace without a kinds object");
+                };
+                LevelResult {
+                    level: u("level"),
+                    policy: text("policy"),
+                    trace_name: text("trace"),
+                    engine_events: u("engine_events"),
+                    wall_secs: f("wall_secs"),
+                    events_per_sec: f("events_per_sec"),
+                    blocking_detections: u("blocking_detections"),
+                    kinds: kinds
+                        .iter()
+                        .map(|(k, v)| (k.clone(), v.as_u64().unwrap()))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// `doc` with the counter at `path` (object keys, array indices) one
+    /// higher.
+    fn bumped(doc: &Json, path: &[&str]) -> Json {
+        let mut doc = doc.clone();
+        let mut node = &mut doc;
+        for key in path {
+            node = match node {
+                Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+                other => panic!("cannot descend into {other:?}"),
+            };
+        }
+        let Json::U64(n) = node else {
+            panic!("{path:?} is not a counter");
+        };
+        *n += 1;
+        doc
+    }
+
+    #[test]
+    fn unperturbed_baseline_passes() {
+        let doc = Json::parse(BASELINE).unwrap();
+        assert_eq!(
+            check(&results_of(&doc), &doc, DEFAULT_TOLERANCE),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn each_perturbed_exact_counter_is_a_violation() {
+        let doc = Json::parse(BASELINE).unwrap();
+        let results = results_of(&doc);
+        for (i, r) in results.iter().enumerate() {
+            let at = i.to_string();
+            assert!(!r.kinds.is_empty(), "level {} lists no kinds", r.level);
+            let mut paths = vec![
+                vec!["traces", &at, "engine_events"],
+                vec!["traces", &at, "blocking_detections"],
+            ];
+            for (kind, _) in &r.kinds {
+                paths.push(vec!["traces", &at, "kinds", kind]);
+            }
+            for path in paths {
+                let problems = check(&results, &bumped(&doc, &path), DEFAULT_TOLERANCE);
+                assert_eq!(problems.len(), 1, "{path:?}: {problems:?}");
+            }
+        }
+    }
+}

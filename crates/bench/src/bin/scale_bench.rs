@@ -315,3 +315,75 @@ fn main() {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The committed baseline the CI gate checks against.
+    const BASELINE: &str = include_str!("../../../../BENCH_scale.json");
+
+    /// Results that reproduce `doc` exactly, as a run matching it would.
+    fn results_of(doc: &Json) -> Vec<CellResult> {
+        let cells = doc.get("cells").and_then(Json::as_arr).unwrap();
+        cells
+            .iter()
+            .map(|c| {
+                let u = |field: &str| c.get(field).and_then(Json::as_u64).unwrap();
+                let f = |field: &str| c.get(field).and_then(Json::as_f64).unwrap();
+                CellResult {
+                    nodes: u("nodes") as usize,
+                    jobs: u("jobs") as usize,
+                    trace_name: c.get("trace").and_then(Json::as_str).unwrap().to_owned(),
+                    engine_events: u("engine_events"),
+                    completed: u("completed"),
+                    blocking_detections: u("blocking_detections"),
+                    wall_secs: f("wall_secs"),
+                    events_per_sec: f("events_per_sec"),
+                }
+            })
+            .collect()
+    }
+
+    /// `doc` with the counter at `path` (object keys, array indices) one
+    /// higher.
+    fn bumped(doc: &Json, path: &[&str]) -> Json {
+        let mut doc = doc.clone();
+        let mut node = &mut doc;
+        for key in path {
+            node = match node {
+                Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+                other => panic!("cannot descend into {other:?}"),
+            };
+        }
+        let Json::U64(n) = node else {
+            panic!("{path:?} is not a counter");
+        };
+        *n += 1;
+        doc
+    }
+
+    #[test]
+    fn unperturbed_baseline_passes() {
+        let doc = Json::parse(BASELINE).unwrap();
+        assert_eq!(
+            check(&results_of(&doc), &doc, DEFAULT_TOLERANCE),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn each_perturbed_exact_counter_is_a_violation() {
+        let doc = Json::parse(BASELINE).unwrap();
+        let results = results_of(&doc);
+        assert_eq!(results.len(), GRID.len());
+        for cell in 0..results.len() {
+            for field in ["engine_events", "completed", "blocking_detections"] {
+                let path = ["cells", &cell.to_string(), field];
+                let problems = check(&results, &bumped(&doc, &path), DEFAULT_TOLERANCE);
+                assert_eq!(problems.len(), 1, "cell {cell} {field}: {problems:?}");
+            }
+        }
+    }
+}

@@ -111,10 +111,10 @@ const EPS: f64 = 1e-9;
 /// [`MemoryProfile::working_set_at`]: crate::job::MemoryProfile::working_set_at
 const BOUNDARY_EPS: f64 = 1e-6;
 
-/// The segment rate cache: each resident job's stall, rate and next phase
-/// boundary, in job order, kept between advances. They only change when
-/// the node's epoch moves or a job crosses into its next memory phase, so
-/// [`Workstation::segment_rates`] reuses them until then and the
+/// The segment rate cache: each resident job's working set, stall, rate
+/// and next phase boundary, in job order, kept between advances. They only
+/// change when the node's epoch moves or a job crosses into its next memory
+/// phase, so [`Workstation::segment_rates`] reuses them until then and the
 /// integration hot path neither recomputes nor allocates.
 #[derive(Debug, Clone, Default)]
 struct RateScratch {
@@ -487,12 +487,18 @@ impl Workstation {
     /// Advances all resident jobs to `now`, accumulating their wall-clock
     /// breakdowns and collecting completions into the outbox.
     ///
+    /// Returns `true` if the advance changed the node's observable load: a
+    /// job completed or crossed into its next memory phase. Everything a
+    /// load reading depends on (resident jobs, demand, slots, flags) is
+    /// piecewise constant between those instants, so after a `false`
+    /// advance the node reads exactly as it did before.
+    ///
     /// Calling with `now` in the past is a no-op (tolerated because multiple
     /// events can share a timestamp).
     // vr-analyze::allow(panic-path, reason = "the only span minted is `remaining.max(0.0)`, bounded by the span it was derived from")
-    pub fn advance_to(&mut self, now: SimTime) {
+    pub fn advance_to(&mut self, now: SimTime) -> bool {
         if now <= self.last_update {
-            return;
+            return false;
         }
         let mut remaining = (now - self.last_update).as_secs_f64();
         // A completion or a phase crossing changed the resident working sets.
@@ -550,6 +556,7 @@ impl Workstation {
             self.demand = self.jobs.iter().map(|j| j.current_working_set()).sum();
         }
         self.last_update = now;
+        reshaped
     }
 
     /// The delay from the last advancement until this node next needs a
@@ -594,13 +601,15 @@ impl Workstation {
         let mut fresh = RateScratch::default();
         self.fill_rates(&mut fresh);
         let bits = |s: &RateScratch| {
-            [&s.stalls, &s.rates, &s.boundaries, &s.thresholds]
-                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            let floats = [&s.stalls, &s.rates, &s.boundaries, &s.thresholds]
+                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+            (s.working_sets.clone(), floats)
         };
         debug_assert_eq!(
             bits(cached),
             bits(&fresh),
-            "cached stalls, rates, boundaries or thresholds diverged from a fresh rate pass"
+            "cached working sets, stalls, rates, boundaries or thresholds diverged from a fresh \
+             rate pass"
         );
     }
 
@@ -710,12 +719,33 @@ impl Workstation {
         true
     }
 
-    /// The resident job with the largest current memory demand, if any —
-    /// the paper's `find_most_memory_intensive_job()`.
-    pub fn most_memory_intensive_job(&self) -> Option<&RunningJob> {
-        self.jobs
+    /// The resident job with the largest current memory demand (ties go to
+    /// the smallest id) and that demand, if any job is resident — the
+    /// paper's `find_most_memory_intensive_job()`. Reads the working sets
+    /// from the segment rate cache, filling it first if it is not current,
+    /// so a node that stays overloaded tick after tick does not re-derive
+    /// every job's working set from its progress each time.
+    pub fn most_memory_intensive_job(&self) -> Option<(JobId, Bytes)> {
+        if self.jobs.is_empty() {
+            return None;
+        }
+        self.segment_rates();
+        let scratch = self.scratch.borrow();
+        let victim = self
+            .jobs
             .iter()
-            .max_by_key(|j| (j.current_working_set(), std::cmp::Reverse(j.id())))
+            .zip(&scratch.working_sets)
+            .map(|(j, &ws)| (j.id(), ws))
+            .max_by_key(|&(id, ws)| (ws, std::cmp::Reverse(id)));
+        debug_assert_eq!(
+            victim,
+            self.jobs
+                .iter()
+                .map(|j| (j.id(), j.current_working_set()))
+                .max_by_key(|&(id, ws)| (ws, std::cmp::Reverse(id))),
+            "cached victim differs from the working-set argmax over resident jobs"
+        );
+        victim
     }
 }
 
@@ -932,7 +962,22 @@ mod tests {
         node.try_admit(job(1, 10, 60.0), SimTime::ZERO).unwrap();
         node.try_admit(job(2, 90, 60.0), SimTime::ZERO).unwrap();
         node.try_admit(job(3, 40, 60.0), SimTime::ZERO).unwrap();
-        assert_eq!(node.most_memory_intensive_job().unwrap().id(), JobId(2));
+        assert_eq!(
+            node.most_memory_intensive_job(),
+            Some((JobId(2), Bytes::from_mb(90)))
+        );
+        // Equal working sets go to the smallest id, not the first admitted.
+        node.try_admit(job(0, 90, 60.0), SimTime::ZERO).unwrap();
+        assert_eq!(
+            node.most_memory_intensive_job(),
+            Some((JobId(0), Bytes::from_mb(90)))
+        );
+        assert!(node.remove_job(JobId(0), SimTime::from_secs(1)).is_some());
+        assert_eq!(node.most_memory_intensive_job().unwrap().0, JobId(2));
+        assert_eq!(
+            Workstation::new(NodeId(1), params()).most_memory_intensive_job(),
+            None
+        );
     }
 
     #[test]
@@ -1167,7 +1212,8 @@ mod tests {
         for t in 11..=14 {
             let at = SimTime::from_secs(t);
             let mut fresh = build(node.jobs(), node.last_update());
-            node.advance_to(at);
+            // Only the first advance crosses the boundary.
+            assert_eq!(node.advance_to(at), t == 11, "tick {t}");
             fresh.advance_to(at);
             assert_eq!(
                 node.jobs(),
@@ -1181,6 +1227,82 @@ mod tests {
             assert!(node.is_faulting());
         }
         assert!(node.jobs()[0].breakdown.page > 0.0);
+    }
+
+    #[test]
+    fn advance_reports_whether_the_load_changed() {
+        let mut node = Workstation::new(NodeId(0), params());
+        node.try_admit(phased(1, &[(5.0, 10)], 90, 20.0), SimTime::ZERO)
+            .unwrap();
+        node.try_admit(job(2, 30, 4.0), SimTime::ZERO).unwrap();
+        // Half speed each: job 2 completes at t=8 with job 1 at 4 s of
+        // progress; alone, job 1 crosses into its 90 MB phase at t=9.
+        let at = SimTime::from_secs_f64;
+        assert!(!node.advance_to(at(3.0)), "quiet tick");
+        assert!(!node.advance_to(at(3.0)), "same instant");
+        assert!(!node.advance_to(at(2.0)), "instant in the past");
+        assert!(node.advance_to(at(8.5)), "completion");
+        assert_eq!(node.pending_completions().len(), 1);
+        assert!(!node.advance_to(at(8.9)), "quiet tick before the boundary");
+        assert_eq!(node.memory_usage().demand, Bytes::from_mb(10));
+        assert!(node.advance_to(at(9.2)), "phase crossing");
+        assert_eq!(node.memory_usage().demand, Bytes::from_mb(90));
+        assert!(!node.advance_to(at(10.0)), "quiet tick after the boundary");
+        assert!(
+            !Workstation::new(NodeId(1), params()).advance_to(at(5.0)),
+            "idle node"
+        );
+    }
+
+    /// The paper's victim by a full walk: the largest current working set,
+    /// ties to the smallest id.
+    fn fresh_victim(node: &Workstation) -> Option<(JobId, Bytes)> {
+        node.jobs()
+            .iter()
+            .map(|j| (j.id(), j.current_working_set()))
+            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+    }
+
+    #[test]
+    fn cached_victim_matches_a_fresh_argmax() {
+        for protection in [
+            ThrashingProtection::Off,
+            ThrashingProtection::ProtectShortestRemaining,
+        ] {
+            let mut p = params();
+            p.protection = protection;
+            let mut node = Workstation::new(NodeId(0), p);
+            admit_phased_mix(&mut node);
+            // 30 MB, like job 3: the two tie until one of them leaves.
+            node.try_admit(job(4, 30, 60.0), SimTime::ZERO).unwrap();
+            let mut next_id = 5;
+            for t in 1..=90 {
+                let now = SimTime::from_secs(t);
+                node.advance_to(now);
+                assert_eq!(
+                    node.most_memory_intensive_job(),
+                    fresh_victim(&node),
+                    "{protection:?} tick {t}"
+                );
+                if t % 5 == 0 {
+                    // A phased job whose first phase ties the 30 MB jobs.
+                    let j = phased(next_id, &[(2.5, 30)], 60, 12.0);
+                    next_id += 1;
+                    let _ = node.try_admit(j, now);
+                } else if t % 7 == 0 {
+                    if let Some((victim, _)) = node.most_memory_intensive_job() {
+                        assert!(node.remove_job(victim, now).is_some());
+                    }
+                }
+                assert_eq!(
+                    node.most_memory_intensive_job(),
+                    fresh_victim(&node),
+                    "{protection:?} tick {t} after a mutation"
+                );
+            }
+            assert!(node.counters().admitted >= 10, "{:?}", node.counters());
+            assert!(node.counters().migrated_out >= 5, "{:?}", node.counters());
+        }
     }
 
     #[test]

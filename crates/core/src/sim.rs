@@ -308,14 +308,14 @@ pub(crate) struct ClusterWorld {
     /// the overload scan can revisit flagged nodes without walking the
     /// whole slab.
     blocked_set: NodeSet,
-    /// Nodes that currently host work (resident jobs or an undrained
-    /// completion outbox). Everything outside this set is settled: its load
-    /// cannot change until the scheduler touches it again (advancing an
-    /// idle workstation is a no-op), so the periodic
-    /// advance/collect/refresh sweeps walk this set instead of every
-    /// workstation — the O(active) hot path that makes cluster size a free
-    /// parameter. May hold nodes that have since settled: they are pruned
-    /// when an index refresh recaptures them.
+    /// Exactly the nodes that currently host work (resident jobs or an
+    /// undrained completion outbox). Everything outside this set is
+    /// settled: its load cannot change until the scheduler touches it again
+    /// (advancing an idle workstation is a no-op), so the periodic
+    /// advance/collect sweeps walk this set instead of every workstation —
+    /// the O(active) hot path that makes cluster size a free parameter. A
+    /// node joins in [`ClusterWorld::touch`] and leaves there or when
+    /// [`ClusterWorld::collect_completions`] drains its last job.
     active: NodeSet,
     /// Nodes whose completion outbox may be non-empty: the only
     /// workstations [`ClusterWorld::collect_completions`] must visit.
@@ -326,12 +326,18 @@ pub(crate) struct ClusterWorld {
     /// Always-empty buffer that [`ClusterWorld::collect_completions`] swaps
     /// with `ripe`, so draining the ripe set allocates nothing.
     ripe_spare: NodeSet,
-    /// Nodes whose observable load may differ from their load-index entry:
-    /// mutated through [`ClusterWorld::touch`], or advanced in simulated
-    /// time, since they were last recaptured — plus held-back (stale)
+    /// Nodes whose load changed since their load-index entry was captured:
+    /// mutated through [`ClusterWorld::touch`], or reshaped by an advance
+    /// (a completion or a memory-phase crossing) — plus held-back (stale)
     /// nodes awaiting their next report. Drained by the next index
     /// refresh.
     dirty: NodeSet,
+    /// Nodes that are up, unreserved and whose detector usage exceeds the
+    /// overload threshold: the nodes the overload scan must examine. A
+    /// node's usage changes only where it is dirtied, so
+    /// [`ClusterWorld::mark_dirty`] re-derives its bit and the set is exact
+    /// at every instant.
+    overloaded: NodeSet,
     /// Exchange ticks so far, driving the staggered stale-load schedule
     /// ([`LoadInfoMode::Staggered`]).
     exchange_ticks: u64,
@@ -403,6 +409,7 @@ impl ClusterWorld {
             ripe: NodeSet::with_capacity(node_count),
             ripe_spare: NodeSet::with_capacity(node_count),
             dirty: NodeSet::with_capacity(node_count),
+            overloaded: NodeSet::with_capacity(node_count),
             exchange_ticks: 0,
         };
         world.index.refresh(world.nodes.iter(), SimTime::ZERO);
@@ -446,36 +453,64 @@ impl ClusterWorld {
         self.stalled[node.0 as usize]
     }
 
-    /// Records that `node`'s observable load state changed since the last
-    /// index refresh: it must be recaptured at the next refresh, and if it
-    /// hosts work it joins the active sweep set. Every workstation mutation
-    /// (admit, remove, crash, restart, reserve-flag flip) must come through
-    /// here — the sweep sets are what keep the incremental index equal to a
-    /// full rebuild.
+    /// Records that `node`'s load state changed through a mutation: it is
+    /// marked dirty (see [`ClusterWorld::mark_dirty`]), and it joins the
+    /// active sweep set if it hosts work or leaves it if it no longer does.
+    /// Every workstation mutation (admit, remove, crash, restart,
+    /// reserve-flag flip, resize) must come through here — the sweep sets
+    /// are what keep the incremental index equal to a full rebuild.
     fn touch(&mut self, node: NodeId) {
         let i = node.0 as usize;
         let has_completions = !self.nodes[i].pending_completions().is_empty();
         if self.nodes[i].active_jobs() > 0 || has_completions {
             self.active.insert(node.0);
+        } else {
+            self.active.remove(node.0);
         }
         if has_completions {
             self.ripe.insert(node.0);
         }
-        self.dirty.insert(node.0);
+        self.mark_dirty(node.0);
     }
 
-    /// Records that `node` was advanced in simulated time outside
-    /// [`ClusterWorld::touch`]: its observable load may have drifted (phase
-    /// ramps, completions moving to the outbox), so it must be recaptured
-    /// at the next index refresh, and if the advance produced completions
-    /// it joins the completion sweep. Must follow every `advance_to` that
-    /// is not already routed through `touch` — the index refresh and
-    /// [`ClusterWorld::collect_completions`] only visit noted nodes.
+    /// Records that an advance of `node` outside [`ClusterWorld::touch`]
+    /// reshaped it (`advance_to` returned `true`): a completion or a
+    /// memory-phase crossing changed its load, so it is marked dirty, and
+    /// if the advance produced completions it joins the completion sweep.
+    /// An advance that did not reshape the node leaves every load reading
+    /// as it was and needs no note — the index refresh,
+    /// [`ClusterWorld::collect_completions`] and the overload scan only
+    /// visit noted nodes.
     fn note_advanced(&mut self, node: NodeId) {
-        self.dirty.insert(node.0);
         if !self.nodes[node.0 as usize].pending_completions().is_empty() {
             self.ripe.insert(node.0);
         }
+        self.mark_dirty(node.0);
+    }
+
+    /// Queues node `i` for recapture at the next index refresh and
+    /// re-derives its `overloaded` bit. Must follow every change to the
+    /// node's load; [`ClusterWorld::touch`] and
+    /// [`ClusterWorld::note_advanced`] route here.
+    fn mark_dirty(&mut self, i: u32) {
+        self.dirty.insert(i);
+        if self.over_threshold(i as usize) {
+            self.overloaded.insert(i);
+        } else {
+            self.overloaded.remove(i);
+        }
+    }
+
+    /// `true` if node `i` is up, unreserved and its detector usage exceeds
+    /// the overload threshold: it is faulting seriously enough for the
+    /// overload scan to try to migrate its most memory-intensive job.
+    fn over_threshold(&self, i: usize) -> bool {
+        let node = &self.nodes[i];
+        if node.is_reserved() || !node.is_up() {
+            return false;
+        }
+        let usage = self.detector_usage(i);
+        usage.overflow() > self.config.overload_bytes(usage.user)
     }
 
     /// Sets or clears a node's job-blocking flag, keeping the `blocked_set`
@@ -493,64 +528,42 @@ impl ClusterWorld {
 
     /// Advances every node that hosts work to `now`. Settled nodes need no
     /// advance: with no resident jobs there is nothing to integrate, so
-    /// their counters and demand are unchanged by construction.
+    /// their counters and demand are unchanged by construction. Only the
+    /// nodes the advance reshaped are noted: on every other node each load
+    /// reading is what it was before, so its index entry, its `overloaded`
+    /// bit and its (empty) outbox need no attention.
     fn advance_active(&mut self, now: SimTime) {
-        for i in &self.active {
-            let node = &mut self.nodes[i as usize];
-            // Already advanced to `now` (the Exchange and Sample ticks share
-            // an instant): `advance_to` would be a no-op, so the node's load
-            // is what it was when last advanced or touched — both of which
-            // queued it for recapture and, with completions, for collection.
-            // Re-dirtying it would only make the next refresh recapture an
-            // identical entry.
-            if node.last_update() >= now {
-                continue;
+        let active = std::mem::take(&mut self.active);
+        for i in &active {
+            if self.nodes[i as usize].advance_to(now) {
+                self.note_advanced(NodeId(i));
             }
-            node.advance_to(now);
-            if !node.pending_completions().is_empty() {
-                self.ripe.insert(i);
-            }
-            // The advance may have moved the node's load; queue it for
-            // recapture.
-            self.dirty.insert(i);
         }
+        self.active = active;
     }
 
-    /// The incremental refresh core: recaptures `dirty \ stale`, re-marks
-    /// held-back nodes dirty so they catch up at the next refresh (exactly
-    /// when a full rebuild would have recaptured them), and prunes settled
-    /// visited nodes from the active sweep set.
+    /// The incremental refresh core: recaptures `dirty \ stale` and
+    /// re-marks held-back nodes dirty so they catch up at the next refresh
+    /// (exactly when a full rebuild would have recaptured them).
     ///
-    /// Only dirty nodes need visiting: every mutation routes through
-    /// [`ClusterWorld::touch`] and every simulated-time advance through
-    /// [`ClusterWorld::note_advanced`] or
-    /// [`ClusterWorld::advance_active`], all of which dirty the node — so a
-    /// node outside the dirty set has exactly the state it had when its
-    /// index entry was captured, and a full
-    /// `index.refresh(self.nodes.iter(), now)` would recapture the
-    /// identical entry. That makes the result byte-identical to a full
-    /// rebuild at O(changed · log n) cost, per refresh, instead of
-    /// O(cluster): the property the sweep-set cross-check below asserts in
-    /// debug builds.
+    /// Only dirty nodes need visiting. An index entry reads only
+    /// piecewise-constant node state (resident jobs, demand, slots, flags),
+    /// which changes only through a mutation — routed through
+    /// [`ClusterWorld::touch`] — or through an advance that completes a job
+    /// or crosses a memory phase — routed through
+    /// [`ClusterWorld::note_advanced`] — and both dirty the node. So a node
+    /// outside the dirty set has exactly the state it had when its index
+    /// entry was captured, and a full `index.refresh(self.nodes.iter(),
+    /// now)` would recapture the identical entry. That makes the result
+    /// byte-identical to a full rebuild at O(changed · log n) cost, per
+    /// refresh, instead of O(cluster): the property the sweep-set
+    /// cross-check below asserts in debug builds.
     fn refresh_index_incremental(&mut self, now: SimTime, is_stale: impl Fn(NodeId) -> bool) {
         let targets = self.dirty.iter().map(NodeId).filter(|&id| !is_stale(id));
         self.index.refresh_targets(&self.nodes, targets, now);
-        // A node can only leave the hosting-work state through an advance
-        // or a mutation, both of which dirty it — so pruning the visited
-        // nodes keeps the active set exact without walking it.
-        let mut kept: Vec<u32> = Vec::new();
-        for i in &self.dirty {
-            if is_stale(NodeId(i)) {
-                kept.push(i);
-                continue;
-            }
-            let n = &self.nodes[i as usize];
-            if n.active_jobs() == 0 && n.pending_completions().is_empty() {
-                self.active.remove(i);
-            }
-        }
+        let held: Vec<u32> = self.dirty.iter().filter(|&i| is_stale(NodeId(i))).collect();
         self.dirty.clear();
-        for i in kept {
+        for i in held {
             self.dirty.insert(i);
         }
         self.update_network_ram();
@@ -562,8 +575,8 @@ impl ClusterWorld {
 
     /// Debug cross-check (runs under `cargo test`; release builds skip it):
     /// the incremental refresh must land on exactly the state a
-    /// from-scratch rebuild produces, and no node outside the active set
-    /// may host work.
+    /// from-scratch rebuild produces, and the active set must hold exactly
+    /// the nodes hosting work.
     #[cfg(debug_assertions)]
     fn debug_check_sweep_sets(&self, now: SimTime) {
         let mut full = LoadIndex::new();
@@ -573,10 +586,10 @@ impl ClusterWorld {
             "incremental index diverged from a full rebuild"
         );
         for (i, n) in self.nodes.iter().enumerate() {
-            debug_assert!(
-                self.active.contains(i as u32)
-                    || (n.active_jobs() == 0 && n.pending_completions().is_empty()),
-                "node {i} hosts work but is not in the active set"
+            debug_assert_eq!(
+                self.active.contains(i as u32),
+                n.active_jobs() > 0 || !n.pending_completions().is_empty(),
+                "active set disagrees with whether node {i} hosts work"
             );
             debug_assert_eq!(
                 self.blocked_set.contains(i as u32),
@@ -584,16 +597,32 @@ impl ClusterWorld {
                 "blocked_set disagrees with the blocked flag of node {i}"
             );
         }
+        self.debug_check_overloaded();
         // The bitsets' length counters against a recount of their words.
         for (name, set) in [
             ("active", &self.active),
             ("ripe", &self.ripe),
             ("dirty", &self.dirty),
             ("blocked_set", &self.blocked_set),
+            ("overloaded", &self.overloaded),
         ] {
             debug_assert_eq!(set.len(), set.iter().count(), "{name} length drifted");
         }
         debug_assert!(self.ripe_spare.is_empty(), "ripe_spare holds ids");
+    }
+
+    /// Debug cross-check: `overloaded` must equal the detector walk over
+    /// every node (a superset of the old `active ∪ blocked_set` walk).
+    #[cfg(debug_assertions)]
+    fn debug_check_overloaded(&self) {
+        let walked: Vec<u32> = (0..self.nodes.len() as u32)
+            .filter(|&i| self.over_threshold(i as usize))
+            .collect();
+        debug_assert_eq!(
+            self.overloaded.iter().collect::<Vec<_>>(),
+            walked,
+            "overloaded set diverged from the detector walk"
+        );
     }
 
     /// Advances active nodes to `now` and refreshes the load index.
@@ -716,6 +745,10 @@ impl ClusterWorld {
             let i = i as usize;
             let node_id = self.nodes[i].id();
             let finished = self.nodes[i].take_completed();
+            if self.nodes[i].active_jobs() == 0 {
+                // Drained and empty: the node no longer hosts work.
+                self.active.remove(node_id.0);
+            }
             if finished.is_empty() {
                 continue;
             }
@@ -947,29 +980,17 @@ impl ClusterWorld {
         if !self.policy.kind().migrates_on_overload() {
             return;
         }
-        // Visit set: nodes that could be over threshold (only nodes hosting
-        // work can have overflow) plus currently flagged nodes, which must
-        // be revisited so their edge-triggered bits fall exactly when the
-        // old full walk would have cleared them. For every other node the
-        // per-node loop body is a provable no-op (it would only write
-        // `false` over an already-false bit), so the scan skips it — on an
-        // idle or lightly loaded large cluster the whole scan is O(active)
-        // instead of O(nodes). Ascending node order, like the old walk.
-        let mut visit: Vec<usize> = Vec::new();
-        for i in self.active.union(&self.blocked_set) {
-            let i = i as usize;
-            if self.blocked_nodes[i] {
-                visit.push(i);
-                continue;
-            }
-            if self.nodes[i].is_reserved() || !self.nodes[i].is_up() {
-                continue;
-            }
-            let usage = self.detector_usage(i);
-            if usage.overflow() > self.config.overload_bytes(usage.user) {
-                visit.push(i);
-            }
-        }
+        #[cfg(debug_assertions)]
+        self.debug_check_overloaded();
+        // Visit set: the nodes over threshold plus currently flagged nodes,
+        // which must be revisited so their edge-triggered bits fall exactly
+        // when the old full walk would have cleared them. For every other
+        // node the per-node loop body is a provable no-op (it would only
+        // write `false` over an already-false bit), so the scan skips it —
+        // the scan costs O(overloaded + blocked), not O(nodes) or
+        // O(active). Ascending node order, like the old walk. Collected
+        // first: the actions below mutate both sets.
+        let visit: Vec<u32> = self.overloaded.union(&self.blocked_set).collect();
         if visit.is_empty() {
             return;
         }
@@ -982,25 +1003,22 @@ impl ClusterWorld {
         // reservation begun, job suspended) — all rare.
         let mut bound = self.dest_bound();
         for i in visit {
+            // Live membership: an action earlier in this pass (a migration
+            // away, a new reservation) re-derived the node's bit.
+            let over = self.overloaded.contains(i);
+            let i = i as usize;
             let src = self.nodes[i].id();
-            if self.nodes[i].is_reserved() || !self.nodes[i].is_up() {
-                self.set_blocked(i, false);
-                continue;
-            }
-            let usage = self.detector_usage(i);
-            let threshold = self.config.overload_bytes(usage.user);
-            if usage.overflow() <= threshold {
-                self.set_blocked(i, false);
-                continue;
-            }
-            // The node is seriously faulting; try to migrate its most
+            // A seriously faulting node: try to migrate its most
             // memory-intensive job away.
-            let Some(victim) = self.nodes[i].most_memory_intensive_job() else {
+            let victim = if over {
+                self.nodes[i].most_memory_intensive_job()
+            } else {
+                None
+            };
+            let Some((victim_id, victim_ws)) = victim else {
                 self.set_blocked(i, false);
                 continue;
             };
-            let victim_id = victim.id();
-            let victim_ws = victim.current_working_set();
             let feasible = match bound.best {
                 Some((node, ci)) if node != src => ci >= victim_ws,
                 Some(_) => bound.second >= victim_ws,
@@ -1093,8 +1111,9 @@ impl ClusterWorld {
     /// oracle, unlike the edge-triggered per-node blocking bits): under
     /// pressure the policy may shrink one over-wide job per full node to
     /// free a slot; otherwise it may grow one under-wide job per node
-    /// with free slots. Nodes are visited in ascending id order and all
-    /// are already advanced to `now` by the index refresh at the top of
+    /// with free slots. Only nodes hosting work can hold a job to resize:
+    /// the scan walks the active set in ascending id order, and every such
+    /// node is already advanced to `now` by the index refresh at the top of
     /// the Exchange handler.
     fn resize_scan(&mut self, now: SimTime, sched: &mut Scheduler<'_, Event>) {
         if !self.policy.resizes() {
@@ -1102,7 +1121,11 @@ impl ClusterWorld {
         }
         let pressure = !self.pending.is_empty();
         let mut any = false;
-        for i in 0..self.nodes.len() {
+        // Collected first: a directive touches its node, which updates the
+        // active set.
+        let hosting: Vec<u32> = self.active.iter().collect();
+        for i in hosting {
+            let i = i as usize;
             if self.nodes[i].active_jobs() == 0 {
                 continue;
             }
@@ -1304,25 +1327,15 @@ impl ClusterWorld {
     /// count as an ordinary destination.
     fn blocking_victim(&self, exclude_dst: NodeId) -> Option<(NodeId, JobId, Bytes)> {
         let mut worst: Option<(Bytes, NodeId, JobId, Bytes)> = None;
-        // Only nodes hosting work can be over threshold; the active sweep
-        // set covers every such node and iterates in the same ascending
-        // order as the old full walk, so the first-maximum tie-break is
-        // unchanged.
-        for i in &self.active {
+        // `overloaded` is exact at every instant and iterates in the same
+        // ascending order as the old full walk, so the first-maximum
+        // tie-break is unchanged.
+        for i in &self.overloaded {
             let i = i as usize;
             let node = &self.nodes[i];
-            if node.is_reserved() || !node.is_up() {
-                continue;
-            }
-            let usage = self.detector_usage(i);
-            let threshold = self.config.overload_bytes(usage.user);
-            if usage.overflow() <= threshold {
-                continue;
-            }
-            let Some(victim) = node.most_memory_intensive_job() else {
+            let Some((victim, ws)) = node.most_memory_intensive_job() else {
                 continue;
             };
-            let ws = victim.current_working_set();
             // Existence probe in descending idle-memory order: committed
             // idle is at most raw idle, so once raw idle drops below `ws`
             // no later entry can qualify and the walk stops.
@@ -1339,9 +1352,9 @@ impl ClusterWorld {
             if has_ordinary_dest {
                 continue;
             }
-            let key = usage.overflow();
+            let key = self.detector_usage(i).overflow();
             if worst.is_none_or(|(k, ..)| key > k) {
-                worst = Some((key, node.id(), victim.id(), ws));
+                worst = Some((key, node.id(), victim, ws));
             }
         }
         worst.map(|(_, src, job, ws)| (src, job, ws))
@@ -1519,8 +1532,9 @@ impl ClusterWorld {
             return; // already down (duplicate crash entries in the plan)
         }
         // Settle the node first so pre-crash completions count as completed.
-        self.nodes[node_id.0 as usize].advance_to(now);
-        self.note_advanced(node_id);
+        if self.nodes[node_id.0 as usize].advance_to(now) {
+            self.note_advanced(node_id);
+        }
         self.collect_completions(now, sched);
         if let Some(injector) = self.faults.as_mut() {
             injector.counters.crashes += 1;
@@ -1823,8 +1837,9 @@ impl World for ClusterWorld {
                 if self.nodes[node.0 as usize].epoch() != epoch {
                     return; // stale wake: the node changed since scheduling
                 }
-                self.nodes[node.0 as usize].advance_to(now);
-                self.note_advanced(node);
+                if self.nodes[node.0 as usize].advance_to(now) {
+                    self.note_advanced(node);
+                }
                 self.collect_completions(now, sched);
                 // collect_completions only re-schedules nodes that completed
                 // something; a pure phase-boundary wake still needs a new
